@@ -19,7 +19,7 @@ from .hierarchy import SetupConfig, hierarchy_summary, setup
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
 from .sparse import write_matrix_market
-from .splitting import F_POINT
+from .splitting import F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'emit_report', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
@@ -191,7 +191,6 @@ def _dump_operators(H, directory):
 
 
 def _write_cf_diagnostics(H, directory):
-    from .sparse import _row_index, diagonal
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, 'cf_labels.csv'), 'w', newline='') as fh:
         w = csv.writer(fh)
@@ -204,13 +203,7 @@ def _write_cf_diagnostics(H, directory):
         w = csv.writer(fh)
         w.writerow(['level', 'bin_lo', 'bin_hi', 'count'])
         for idx, L in enumerate(H.levels):
-            A_ff = L.A_ff
-            diag = np.abs(diagonal(A_ff))
-            row_of = _row_index(A_ff)
-            off = np.abs(np.where(A_ff.col_indices != row_of,
-                                  A_ff.values, 0.0))
-            ratios = np.bincount(row_of, weights=off,
-                                 minlength=A_ff.nrows) / diag
+            ratios = _dominance_ratios(L.A_ff, L.split.f_set)
             counts, edges = np.histogram(ratios, bins=50)
             for b, c in zip(range(50), counts):
                 w.writerow([idx, f'{edges[b]:.6g}', f'{edges[b + 1]:.6g}',

@@ -20,8 +20,8 @@ from .polynomial import (PolySolver, _random_unit_vector, apply_matrix_free,
                          assemble_fixed_sparsity, gmres_poly_arnoldi,
                          gmres_poly_newton, neumann_poly)
 from .solve import count_cycle_flops
-from .sparse import (SparseMatrix, _row_index, drop_and_lump, extract, spgemm,
-                     spmv)
+from .sparse import (SparseMatrix, _row_index, _spgemm_numeric, drop_and_lump,
+                     extract, spmv)
 from .splitting import CFSplit, cf_split
 
 __all__ = [
@@ -233,7 +233,7 @@ def build_restriction(A, split, cfg, level=0, timings=None,
                                  _derive_seed(cfg.seed, level, _SEED_SMOOTHER))
         assembled = assemble_fixed_sparsity(smoother, A_ff)
     with _Timer(timings, 'spgemm_R'):
-        Z = _negated(spgemm(A_cf, assembled))
+        Z = _negated(_spgemm_numeric(A_cf, assembled))
     with _Timer(timings, 'drop'):
         Z = drop_and_lump(Z, cfg.r_drop, lump=False)
     with _Timer(timings, 'spgemm_R'):
@@ -279,9 +279,12 @@ def build_prolongation(A, split):
 
 
 def coarse_matrix(A, R, P, cfg, timings=None):
-    """Galerkin triple product ``R A P`` followed by drop/lump control."""
+    """Galerkin triple product ``R A P`` followed by drop/lump control.
+
+    Entries of ``R A P`` that cancel to exactly zero are not stored.
+    """
     with _Timer(timings, 'spgemm_coarse'):
-        coarse = spgemm(R, spgemm(A, P))
+        coarse = _spgemm_numeric(R, _spgemm_numeric(A, P))
     with _Timer(timings, 'drop'):
         return drop_and_lump(coarse, cfg.a_drop, lump=cfg.lump)
 

@@ -3,9 +3,12 @@
 Matrices are immutable after construction and always kept in canonical CSR
 form: row offsets non-decreasing, column indices strictly increasing within
 each row, no duplicate entries, no NaN/inf values.  Explicit zeros are legal
-stored entries; ``spgemm`` retains zeros produced by cancellation so that
-sparsity patterns stay composable, and only ``drop_and_lump`` removes
-entries.  All indices are 0-based 64-bit integers.
+stored entries.  The public ``spgemm`` retains zeros produced by cancellation
+so that sparsity patterns stay composable; setup's internal products
+(``_spgemm_numeric``, and ``spgemm_fixed_sparsity`` built on it) drop them.
+Beyond that only ``drop_and_lump`` removes entries.  Every scipy result
+becomes canonical CSR in ``SparseMatrix._from_scipy``.  All indices are
+0-based 64-bit integers.
 """
 
 import io
@@ -113,18 +116,16 @@ class SparseMatrix:
 
     @classmethod
     def _from_scipy(cls, m):
-        """Wrap a scipy CSR result, re-sorting rows if the kernel left them unsorted."""
+        """Wrap a scipy CSR result whose rows hold no duplicate columns.
+
+        Rows are sorted in place when the kernel left them unsorted, so pass
+        only temporaries that nothing else holds.
+        """
         m = m.tocsr()
-        offsets = _as_offsets(m.indptr)
-        cols = _as_offsets(m.indices)
-        vals = _as_values(m.data)
-        row_of = np.repeat(np.arange(m.shape[0], dtype=_INDEX), np.diff(offsets))
-        if len(cols) > 1:
-            same = row_of[1:] == row_of[:-1]
-            if not np.all(cols[1:][same] > cols[:-1][same]):
-                order = np.lexsort((cols, row_of))
-                cols, vals = cols[order], vals[order]
-        return cls(int(m.shape[0]), int(m.shape[1]), offsets, cols, vals)
+        if not m.has_sorted_indices:
+            m.sort_indices()
+        return cls(int(m.shape[0]), int(m.shape[1]), _as_offsets(m.indptr),
+                   _as_offsets(m.indices), _as_values(m.data))
 
     @cached_property
     def _scipy(self):
@@ -219,6 +220,17 @@ def _pattern_matrix(A):
         shape=(A.nrows, A.ncols), copy=False)
 
 
+def _spgemm_numeric(A, B):
+    """``A @ B`` from one scipy product; entries that cancel to exactly zero
+    are not stored.
+
+    Setup forms every product with it: a cancellation zero carries no value
+    into the solve, so the counting product that gives ``spgemm`` its
+    structural pattern would only add work and stored zeros.
+    """
+    return SparseMatrix._from_scipy(A._scipy @ B._scipy)
+
+
 def spgemm(A, B):
     """Sparse matrix-matrix product with the exact structural pattern.
 
@@ -230,7 +242,7 @@ def spgemm(A, B):
     # The numeric kernel prunes cancellation zeros, so take the pattern from a
     # counting product (all contributions positive) and align values onto it.
     pattern = SparseMatrix._from_scipy(_pattern_matrix(A) @ _pattern_matrix(B))
-    numeric = SparseMatrix._from_scipy(A._scipy @ B._scipy)
+    numeric = _spgemm_numeric(A, B)
     if numeric.nnz == pattern.nnz:
         return numeric
     vals = np.zeros(pattern.nnz, dtype=_VALUE)
@@ -244,12 +256,14 @@ def spgemm_fixed_sparsity(A, B, pattern):
     """Product ``A @ B`` restricted to the stored positions of ``pattern``.
 
     Entries of the true product outside the pattern are discarded, not lumped.
+    Unlike ``spgemm``, entries that cancel to exactly zero are not stored,
+    even inside the pattern.
     """
     if A.ncols != B.nrows:
         raise ValueError(f'cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}')
     if pattern.nrows != A.nrows or pattern.ncols != B.ncols:
         raise ValueError('pattern shape must match the product shape')
-    prod = spgemm(A, B)
+    prod = _spgemm_numeric(A, B)
     keep = np.zeros(prod.nnz, dtype=bool)
     pat_keys = _entry_keys(pattern)
     prod_keys = _entry_keys(prod)

@@ -159,13 +159,12 @@ def pmisr(graph, seed, max_luby_loops=None):
     return CFSplit.from_labels(labels)
 
 
-def _dominance_ratios(A, split):
-    """Row dominance ratios of the current fine-fine block: off-diagonal
-    absolute sum over absolute diagonal."""
-    A_ff = extract(A, split.f_set, split.f_set)
+def _dominance_ratios(A_ff, f_set):
+    """Row dominance ratios of the fine-fine block ``A_ff`` of the fine set
+    ``f_set``: off-diagonal absolute sum over absolute diagonal."""
     diag = diagonal(A_ff)
     if np.any(diag == 0):
-        bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
+        bad = f_set[int(np.flatnonzero(diag == 0)[0])]
         raise ValueError(f'zero diagonal in fine-fine block (fine row {bad}); '
                          'splitting is not usable for reduction')
     row_of = _row_index(A_ff)
@@ -181,7 +180,8 @@ def _ddc_core(A, split, fraction, nbins):
         raise ValueError('nbins must be positive')
     if A.nrows != A.ncols:
         raise ValueError('diagonal-dominance cleanup requires a square matrix')
-    ratios = _dominance_ratios(A, split)
+    ratios = _dominance_ratios(extract(A, split.f_set, split.f_set),
+                               split.f_set)
     n_f = len(ratios)
     target = fraction * n_f
     lo, hi = float(ratios.min()), float(ratios.max())

@@ -9,8 +9,10 @@ import pytest
 from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
                    SparseMatrix, apply_matrix_free, build_advection_1d,
                    build_advection_2d, build_prolongation, build_restriction,
-                   cf_split, coarse_matrix, extract, hierarchy_summary, setup,
-                   spmv, try_truncate, vcycle, SolveConfig)
+                   cf_split, coarse_matrix, drop_and_lump, extract,
+                   hierarchy_summary, setup, spgemm, spmv, try_truncate,
+                   vcycle, SolveConfig)
+from airmg import sparse
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _repair_split, _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
@@ -407,3 +409,63 @@ def test_hierarchy_level_chain_consistent():
         assert upper.P.nrows == upper.n
         assert upper.P.ncols == upper.split.n_c
     assert H.coarsest_A.nrows == H.levels[-1].split.n_c
+
+
+def _permuted(A, seed):
+    perm = np.random.default_rng(seed).permutation(A.nrows)
+    inv = np.argsort(perm)
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
+    return SparseMatrix.from_coo(A.nrows, A.ncols, inv[rows],
+                                 inv[A.col_indices], A.values)
+
+
+def _assert_same_without_zeros(got, expected):
+    a, b = got._scipy.copy(), expected._scipy.copy()
+    a.eliminate_zeros()
+    b.eliminate_zeros()
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+@pytest.mark.parametrize('permute', [False, True])
+def test_setup_products_match_public_spgemm_bitwise(permute):
+    # On every level, the numeric-only products inside setup give the same
+    # nonzeros, bit for bit, as the public structural spgemm once explicit
+    # zeros are removed.
+    A, _ = build_advection_2d(AdvectionProblem(nx=64, ny=64,
+                                               vx=np.cos(np.pi / 4),
+                                               vy=np.sin(np.pi / 4)))
+    if permute:
+        A = _permuted(A, 17)
+    cfg = SetupConfig()
+    for level in range(6):
+        split, _ = cf_split(A, cfg.strong_threshold, cfg.ddc_fraction,
+                            cfg.ddc_its, seed=level)
+        split = _repair_split(A, split)
+        R, _, _, _, assembled = build_restriction(A, split, cfg, level=level,
+                                                  return_assembled=True)
+        P = build_prolongation(A, split)
+        coarse = coarse_matrix(A, R, P, cfg)
+        _assert_same_without_zeros(
+            coarse,
+            drop_and_lump(spgemm(R, spgemm(A, P)), cfg.a_drop, lump=cfg.lump))
+        ref = spgemm(extract(A, split.c_set, split.f_set), assembled)
+        _assert_same_without_zeros(
+            extract(R, np.arange(split.n_c), split.f_set),
+            SparseMatrix(ref.nrows, ref.ncols, ref.row_offsets,
+                         ref.col_indices, -ref.values))
+        A = coarse
+
+
+def test_setup_never_builds_the_counting_product(monkeypatch):
+    def refuse(_):
+        raise AssertionError('setup must not run the counting product')
+
+    monkeypatch.setattr(sparse, '_pattern_matrix', refuse)
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32,
+                                               vx=np.cos(np.pi / 4),
+                                               vy=np.sin(np.pi / 4)))
+    H = setup(A, SetupConfig())
+    assert H.num_levels > 0

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from airmg import (SparseMatrix, diagonal, drop_and_lump, extract,
                    read_matrix_market, spgemm, spgemm_fixed_sparsity, spmv,
                    transpose, validate, write_matrix_market)
+from airmg.sparse import _spgemm_numeric
 
 
 def random_sparse(rng, nrows, ncols, density):
@@ -72,6 +74,29 @@ def test_spgemm_retains_cancellation_zeros():
     assert C.nnz == 2
     cols, vals = C.row(0)
     assert list(cols) == [0] and vals[0] == 0.0
+
+
+def test_spgemm_numeric_drops_cancellation_zeros():
+    A = SparseMatrix.from_dense([[1.0, -1.0], [0.0, 2.0]])
+    B = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
+    C = _spgemm_numeric(A, B)
+    validate(C)
+    assert C.nnz == 1
+    assert np.array_equal(C.to_dense(), spgemm(A, B).to_dense())
+
+
+def test_from_scipy_sorts_unsorted_rows():
+    # rows deliberately unsorted; every value must stay with its column
+    m = sps.csr_matrix((np.array([3.0, 1.0, 2.0, 5.0, 4.0]),
+                        np.array([2, 0, 1, 3, 0]),
+                        np.array([0, 3, 3, 5])), shape=(3, 4))
+    assert not m.has_sorted_indices
+    expected = m.toarray()
+    got = SparseMatrix._from_scipy(m)
+    validate(got)
+    assert np.array_equal(got.row_offsets, [0, 3, 3, 5])
+    assert np.array_equal(got.col_indices, [0, 1, 2, 0, 3])
+    assert np.array_equal(got.to_dense(), expected)
 
 
 def test_spgemm_dimension_mismatch():
