@@ -26,9 +26,9 @@ from .polynomial import (PolySolver, gmres_poly_arnoldi, gmres_poly_newton,
                          assemble_fixed_sparsity, export_diagnostics)
 from .hierarchy import (SetupConfig, Level, Hierarchy, build_restriction,
                         build_prolongation, coarse_matrix, try_truncate,
-                        setup, hierarchy_summary)
+                        setup, count_cycle_flops, hierarchy_summary)
 from .solve import (SolveConfig, SolveStats, DivergenceError, vcycle,
-                    richardson_solve, count_cycle_flops)
+                    richardson_solve)
 
 __version__ = '0.1.0'
 
@@ -43,7 +43,7 @@ __all__ = [
     'apply_matrix_free', 'assemble_fixed_sparsity', 'export_diagnostics',
     'SetupConfig', 'Level', 'Hierarchy', 'build_restriction',
     'build_prolongation', 'coarse_matrix', 'try_truncate', 'setup',
-    'hierarchy_summary',
+    'count_cycle_flops', 'hierarchy_summary',
     'SolveConfig', 'SolveStats', 'DivergenceError', 'vcycle',
-    'richardson_solve', 'count_cycle_flops',
+    'richardson_solve',
 ]

@@ -12,14 +12,13 @@ the cycle performs fine-point smoothing only.
 
 import logging
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .polynomial import (PolySolver, _random_unit_vector, apply_matrix_free,
-                         assemble_fixed_sparsity, gmres_poly_arnoldi,
-                         gmres_poly_newton, neumann_poly)
-from .solve import count_cycle_flops
+from .polynomial import (PolySolver, _poly_apply_flops, _random_unit_vector,
+                         apply_matrix_free, assemble_fixed_sparsity,
+                         gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
 from .sparse import (SparseMatrix, _row_index, _spgemm_numeric, drop_and_lump,
                      extract, spmv)
 from .splitting import CFSplit, cf_split
@@ -33,6 +32,7 @@ __all__ = [
     'coarse_matrix',
     'try_truncate',
     'setup',
+    'count_cycle_flops',
     'hierarchy_summary',
 ]
 
@@ -197,11 +197,6 @@ class _Timer:
         return False
 
 
-def _negated(A):
-    return SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
-                        -A.values)
-
-
 def _smoother_for(A_ff, cfg, seed):
     if cfg.inverse_type == 'arnoldi':
         return gmres_poly_arnoldi(A_ff, cfg.poly_order, seed)
@@ -233,15 +228,19 @@ def build_restriction(A, split, cfg, level=0, timings=None,
                                  _derive_seed(cfg.seed, level, _SEED_SMOOTHER))
         assembled = assemble_fixed_sparsity(smoother, A_ff)
     with _Timer(timings, 'spgemm_R'):
-        Z = _negated(_spgemm_numeric(A_cf, assembled))
+        Z = _spgemm_numeric(A_cf, assembled)
+        Z = replace(Z, values=-Z.values)
     with _Timer(timings, 'drop'):
         Z = drop_and_lump(Z, cfg.r_drop, lump=False)
     with _Timer(timings, 'spgemm_R'):
+        # Z stores no zeros and ``f`` is increasing, so its block is canonical
+        # in the level's ordering and the scipy sum with the disjoint unit C
+        # block drops nothing.
         n_c = len(c)
-        rows = np.concatenate([_row_index(Z), np.arange(n_c, dtype=np.int64)])
-        cols = np.concatenate([f[Z.col_indices], c])
-        vals = np.concatenate([Z.values, np.ones(n_c)])
-        R = SparseMatrix.from_coo(n_c, A.nrows, rows, cols, vals)
+        z_block = replace(Z, ncols=A.nrows, col_indices=f[Z.col_indices])
+        c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=np.int64),
+                               c, np.ones(n_c))
+        R = SparseMatrix._from_scipy(z_block._scipy + c_block._scipy)
     if return_assembled:
         return R, A_ff, A_fc, smoother, assembled
     return R, A_ff, A_fc, smoother
@@ -271,11 +270,11 @@ def build_prolongation(A, split):
     pos = np.arange(A_fC.nnz, dtype=np.int64)
     candidate = np.where(absv == rowmax[row_of], pos, A_fC.nnz)
     first = np.minimum.reduceat(candidate, A_fC.row_offsets[:-1])
-    chosen = A_fC.col_indices[first]
-    rows = np.concatenate([f, c])
-    cols = np.concatenate([chosen, np.arange(n_c, dtype=np.int64)])
-    vals = np.ones(n)
-    return SparseMatrix.from_coo(n, n_c, rows, cols, vals)
+    cols = np.empty(n, dtype=np.int64)
+    cols[f] = A_fC.col_indices[first]
+    cols[c] = np.arange(n_c, dtype=np.int64)
+    return SparseMatrix(n, n_c, np.arange(n + 1, dtype=np.int64), cols,
+                        np.ones(n))
 
 
 def coarse_matrix(A, R, P, cfg, timings=None):
@@ -449,6 +448,47 @@ def setup(A, cfg):
     H.grid_complexity = (sum(L.n for L in H.levels)
                          + H.coarsest_A.nrows) / A.nrows
     return H
+
+
+def _smooth_flops(level):
+    if level.f_smoother_assembled is not None:
+        return 2 * level.f_smoother_assembled.nnz
+    n_f = len(level.split.f_set)
+    return _poly_apply_flops(level.f_smoother, level.A_ff.nnz, n_f)
+
+
+def count_cycle_flops(H, f_smooth_its=1):
+    """Deterministic FLOP count of one V-cycle.
+
+    Cost model: an SpMV with ``nnz`` stored entries costs ``2*nnz``; a vector
+    scale/axpy/elementwise update producing ``n`` entries costs ``2*n``;
+    copies, scatters and gathers are free.  Per level this covers the
+    restriction SpMV, the cached ``A_fc e_c`` product, ``f_smooth_its``
+    fine-point smooths (the first exploits the zero initial error), the free
+    merge, and at the bottom one coarse polynomial application:
+
+    * restriction: ``2*nnz(R)``
+    * coarse-coupling cache: ``2*nnz(A_fc)``
+    * first smooth: ``2*n_f`` (residual combine) + one smoother application
+    * each further smooth: ``2*nnz(A_ff) + 4*n_f`` (residual combine)
+      + one smoother application + ``2*n_f`` (error update)
+    * matrix-free smoother application of degree ``d``: ``2*n + d*(2*nnz +
+      2*n)`` for coefficient form, ``2*n + d*(2*nnz + 6*n)`` for the Neumann
+      series, ``2*nnz + 4*n`` per real root and ``4*nnz + 10*n`` per
+      conjugate pair for the Newton form; an assembled smoother costs one
+      SpMV.
+    """
+    total = 0
+    for L in H.levels:
+        n_f = len(L.split.f_set)
+        smooth = _smooth_flops(L)
+        total += 2 * L.R.nnz + 2 * L.A_fc.nnz
+        total += 2 * n_f + smooth
+        total += (f_smooth_its - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth
+                                       + 2 * n_f)
+    total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
+                               H.coarsest_A.nrows)
+    return int(total)
 
 
 def hierarchy_summary(H):

@@ -16,7 +16,7 @@ of each matrix power constrained to the pattern of ``A`` plus its diagonal.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -369,11 +369,26 @@ def apply_matrix_free(p, A, b):
     raise ValueError(f'unknown polynomial kind {p.kind!r}')
 
 
-def _pattern_with_diagonal(A):
-    n = A.nrows
-    rows = np.concatenate([_row_index(A), np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([A.col_indices, np.arange(n, dtype=np.int64)])
-    return SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+def _poly_apply_flops(p, nnz, n):
+    """FLOPs of one matrix-free polynomial application under the cycle cost
+    model (see ``hierarchy.count_cycle_flops``)."""
+    if p.kind == 'arnoldi_coeff':
+        d = len(p.coeffs) - 1
+        return 2 * n + d * (2 * nnz + 2 * n)
+    if p.kind == 'neumann':
+        return 2 * n + p.effective_order * (2 * nnz + 6 * n)
+    if p.kind == 'newton_roots':
+        total = 0
+        i = 0
+        while i < len(p.roots):
+            if p.roots[i].imag == 0:
+                total += 2 * nnz + 4 * n
+                i += 1
+            else:
+                total += 4 * nnz + 10 * n
+                i += 2
+        return total
+    raise ValueError(f'unknown polynomial kind {p.kind!r}')
 
 
 def assemble_fixed_sparsity(p, A):
@@ -388,16 +403,16 @@ def assemble_fixed_sparsity(p, A):
                          'forms only, not newton_roots')
     if A.nrows != A.ncols:
         raise ValueError('require a square matrix')
-    pattern = _pattern_with_diagonal(A)
     eye = SparseMatrix.identity(A.nrows)._scipy
+    pattern = SparseMatrix._from_scipy(
+        eye + replace(A, values=np.ones(A.nnz))._scipy)
     if p.kind == 'arnoldi_coeff':
         coeffs = p.coeffs
         base = A
     elif p.kind == 'neumann':
         coeffs = p.coeffs
         # Series in N = I - D^-1 A, right-scaled by D^-1 at the end.
-        scaled = SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
-                              -p.diag_scale[_row_index(A)] * A.values)
+        scaled = replace(A, values=-p.diag_scale[_row_index(A)] * A.values)
         base = SparseMatrix._from_scipy(eye + scaled._scipy)
     else:
         raise ValueError(f'unknown polynomial kind {p.kind!r}')
@@ -410,9 +425,7 @@ def assemble_fixed_sparsity(p, A):
         acc = acc + coeffs[k] * power._scipy
     out = SparseMatrix._from_scipy(acc)
     if p.kind == 'neumann':
-        out = SparseMatrix(out.nrows, out.ncols, out.row_offsets,
-                           out.col_indices,
-                           out.values * p.diag_scale[out.col_indices])
+        out = replace(out, values=out.values * p.diag_scale[out.col_indices])
     return out
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hierarchy import count_cycle_flops
 from .polynomial import apply_matrix_free
 from .sparse import spmv
 
@@ -22,7 +23,6 @@ __all__ = [
     'DivergenceError',
     'vcycle',
     'richardson_solve',
-    'count_cycle_flops',
 ]
 
 _DIVERGENCE_FACTOR = 1e8
@@ -62,8 +62,6 @@ class SolveStats:
     iterations: int
     residual_history: list
     converged: bool
-    cycle_complexity: float
-    storage_complexity: float
     flops_per_cycle: int
 
     def to_dict(self):
@@ -71,8 +69,6 @@ class SolveStats:
             'iterations': self.iterations,
             'residual_history': [float(r) for r in self.residual_history],
             'converged': self.converged,
-            'cycle_complexity': self.cycle_complexity,
-            'storage_complexity': self.storage_complexity,
             'flops_per_cycle': self.flops_per_cycle,
         }
 
@@ -160,71 +156,6 @@ def richardson_solve(H, b, x0, cfg):
         converged = rnorm <= threshold
     stats = SolveStats(iterations=iterations, residual_history=history,
                        converged=converged,
-                       cycle_complexity=H.cycle_complexity,
-                       storage_complexity=H.storage_complexity,
                        flops_per_cycle=count_cycle_flops(
                            H, f_smooth_its=cfg.f_smooth_its))
     return x, stats
-
-
-def _poly_apply_flops(p, nnz, n):
-    """FLOPs of one matrix-free polynomial application under the cycle cost
-    model (see ``count_cycle_flops``)."""
-    if p.kind == 'arnoldi_coeff':
-        d = len(p.coeffs) - 1
-        return 2 * n + d * (2 * nnz + 2 * n)
-    if p.kind == 'neumann':
-        return 2 * n + p.effective_order * (2 * nnz + 6 * n)
-    if p.kind == 'newton_roots':
-        total = 0
-        i = 0
-        while i < len(p.roots):
-            if p.roots[i].imag == 0:
-                total += 2 * nnz + 4 * n
-                i += 1
-            else:
-                total += 4 * nnz + 10 * n
-                i += 2
-        return total
-    raise ValueError(f'unknown polynomial kind {p.kind!r}')
-
-
-def _smooth_flops(level):
-    if level.f_smoother_assembled is not None:
-        return 2 * level.f_smoother_assembled.nnz
-    n_f = len(level.split.f_set)
-    return _poly_apply_flops(level.f_smoother, level.A_ff.nnz, n_f)
-
-
-def count_cycle_flops(H, f_smooth_its=1):
-    """Deterministic FLOP count of one V-cycle.
-
-    Cost model: an SpMV with ``nnz`` stored entries costs ``2*nnz``; a vector
-    scale/axpy/elementwise update producing ``n`` entries costs ``2*n``;
-    copies, scatters and gathers are free.  Per level this covers the
-    restriction SpMV, the cached ``A_fc e_c`` product, ``f_smooth_its``
-    fine-point smooths (the first exploits the zero initial error), the free
-    merge, and at the bottom one coarse polynomial application:
-
-    * restriction: ``2*nnz(R)``
-    * coarse-coupling cache: ``2*nnz(A_fc)``
-    * first smooth: ``2*n_f`` (residual combine) + one smoother application
-    * each further smooth: ``2*nnz(A_ff) + 4*n_f`` (residual combine)
-      + one smoother application + ``2*n_f`` (error update)
-    * matrix-free smoother application of degree ``d``: ``2*n + d*(2*nnz +
-      2*n)`` for coefficient form, ``2*n + d*(2*nnz + 6*n)`` for the Neumann
-      series, ``2*nnz + 4*n`` per real root and ``4*nnz + 10*n`` per
-      conjugate pair for the Newton form; an assembled smoother costs one
-      SpMV.
-    """
-    total = 0
-    for L in H.levels:
-        n_f = len(L.split.f_set)
-        smooth = _smooth_flops(L)
-        total += 2 * L.R.nnz + 2 * L.A_fc.nnz
-        total += 2 * n_f + smooth
-        total += (f_smooth_its - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth
-                                       + 2 * n_f)
-    total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
-                               H.coarsest_A.nrows)
-    return int(total)

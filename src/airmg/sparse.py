@@ -5,14 +5,21 @@ form: row offsets non-decreasing, column indices strictly increasing within
 each row, no duplicate entries, no NaN/inf values.  Explicit zeros are legal
 stored entries.  The public ``spgemm`` retains zeros produced by cancellation
 so that sparsity patterns stay composable; setup's internal products
-(``_spgemm_numeric``, and ``spgemm_fixed_sparsity`` built on it) drop them.
-Beyond that only ``drop_and_lump`` removes entries.  Every scipy result
-becomes canonical CSR in ``SparseMatrix._from_scipy``.  All indices are
-0-based 64-bit integers.
+(``_spgemm_numeric`` and ``spgemm_fixed_sparsity``) drop them.
+Beyond that only ``drop_and_lump`` removes entries.  All indices are 0-based
+64-bit integers.
+
+Setup builds CSR in one of three ways: a scipy result (a product, a sum of
+disjoint blocks, an elementwise mask) becomes canonical in
+``SparseMatrix._from_scipy``; a subset of a matrix's stored entries is taken
+by ``_keep_entries``; operators with one entry per row (the one-point
+prolongator) are written directly.  ``SparseMatrix.from_coo`` sorts and sums
+coordinate triplets and is meant for outside input, such as test problems and
+Matrix Market files.
 """
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -158,6 +165,14 @@ def _row_index(A):
     return np.repeat(np.arange(A.nrows, dtype=_INDEX), np.diff(A.row_offsets))
 
 
+def _keep_entries(A, keep):
+    """``A`` with only the stored entries where the boolean ``keep`` holds."""
+    kept_before = np.zeros(A.nnz + 1, dtype=_INDEX)
+    np.cumsum(keep, out=kept_before[1:])
+    return SparseMatrix(A.nrows, A.ncols, kept_before[A.row_offsets],
+                        A.col_indices[keep], A.values[keep])
+
+
 def _segment_max(values, row_offsets, nrows, empty=0.0):
     """Per-row maximum of ``values``; rows without entries get ``empty``.
 
@@ -224,9 +239,10 @@ def _spgemm_numeric(A, B):
     """``A @ B`` from one scipy product; entries that cancel to exactly zero
     are not stored.
 
-    Setup forms every product with it: a cancellation zero carries no value
-    into the solve, so the counting product that gives ``spgemm`` its
-    structural pattern would only add work and stored zeros.
+    Setup forms ``Z`` and ``R A P`` with it, and ``spgemm_fixed_sparsity``
+    runs the same scipy product: a cancellation zero carries no value into
+    the solve, so the counting product that gives ``spgemm`` its structural
+    pattern would only add work and stored zeros.
     """
     return SparseMatrix._from_scipy(A._scipy @ B._scipy)
 
@@ -257,24 +273,17 @@ def spgemm_fixed_sparsity(A, B, pattern):
 
     Entries of the true product outside the pattern are discarded, not lumped.
     Unlike ``spgemm``, entries that cancel to exactly zero are not stored,
-    even inside the pattern.
+    even inside the pattern.  The pattern's stored values, explicit zeros
+    included, only mark positions: the numeric product is multiplied
+    elementwise by a unit-valued copy of ``pattern`` in scipy and made
+    canonical by ``SparseMatrix._from_scipy``.
     """
     if A.ncols != B.nrows:
         raise ValueError(f'cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}')
     if pattern.nrows != A.nrows or pattern.ncols != B.ncols:
         raise ValueError('pattern shape must match the product shape')
-    prod = _spgemm_numeric(A, B)
-    keep = np.zeros(prod.nnz, dtype=bool)
-    pat_keys = _entry_keys(pattern)
-    prod_keys = _entry_keys(prod)
-    pos = np.searchsorted(pat_keys, prod_keys)
-    inside = pos < len(pat_keys)
-    keep[inside] = pat_keys[pos[inside]] == prod_keys[inside]
-    row_of = _row_index(prod)[keep]
-    offsets = np.zeros(prod.nrows + 1, dtype=_INDEX)
-    np.cumsum(np.bincount(row_of, minlength=prod.nrows), out=offsets[1:])
-    return SparseMatrix(prod.nrows, prod.ncols, offsets,
-                        prod.col_indices[keep], prod.values[keep])
+    mask = replace(pattern, values=np.ones(pattern.nnz, dtype=_VALUE))
+    return SparseMatrix._from_scipy((A._scipy @ B._scipy).multiply(mask._scipy))
 
 
 def _as_index_set(indices, limit, name):
@@ -296,26 +305,20 @@ def extract(A, rows, cols):
     """
     rows = _as_index_set(rows, A.nrows, 'row')
     cols = _as_index_set(cols, A.ncols, 'column')
-    nr, nc = len(rows), len(cols)
-    starts = A.row_offsets[rows]
-    lens = (A.row_offsets[rows + 1] - starts) if nr else np.zeros(0, dtype=_INDEX)
-    total = int(lens.sum())
-    if total == 0 or nc == 0:
-        return SparseMatrix(nr, nc, np.zeros(nr + 1, dtype=_INDEX),
-                            np.zeros(0, dtype=_INDEX), np.zeros(0, dtype=_VALUE))
-    gather = (np.arange(total, dtype=_INDEX)
-              - np.repeat(np.cumsum(lens) - lens, lens)
-              + np.repeat(starts, lens))
-    g_cols = A.col_indices[gather]
-    member = np.zeros(A.ncols, dtype=bool)
-    member[cols] = True
-    keep = member[g_cols]
+    row_member = np.zeros(A.nrows, dtype=bool)
+    row_member[rows] = True
+    col_member = np.zeros(A.ncols, dtype=bool)
+    col_member[cols] = True
+    kept = _keep_entries(A, np.repeat(row_member, np.diff(A.row_offsets))
+                         & col_member[A.col_indices])
+    # Rows outside ``rows`` keep no entries, so each kept row ends where the
+    # next one in ``rows`` starts.
+    offsets = np.zeros(len(rows) + 1, dtype=_INDEX)
+    offsets[1:] = kept.row_offsets[rows + 1]
     colmap = np.zeros(A.ncols, dtype=_INDEX)
-    colmap[cols] = np.arange(nc, dtype=_INDEX)
-    g_rows = np.repeat(np.arange(nr, dtype=_INDEX), lens)[keep]
-    offsets = np.zeros(nr + 1, dtype=_INDEX)
-    np.cumsum(np.bincount(g_rows, minlength=nr), out=offsets[1:])
-    return SparseMatrix(nr, nc, offsets, colmap[g_cols[keep]], A.values[gather][keep])
+    colmap[cols] = np.arange(len(cols), dtype=_INDEX)
+    return SparseMatrix(len(rows), len(cols), offsets,
+                        colmap[kept.col_indices], kept.values)
 
 
 def drop_and_lump(A, rel_tol, lump):
@@ -334,36 +337,30 @@ def drop_and_lump(A, rel_tol, lump):
     if rel_tol == 0 or A.nnz == 0:
         return A
     row_of = _row_index(A)
-    absv = np.abs(A.values)
-    rowmax = _segment_max(absv, A.row_offsets, A.nrows)
+    rowmax = _segment_max(np.abs(A.values), A.row_offsets, A.nrows)
     is_diag = A.col_indices == row_of
-    keep = is_diag | (absv >= rel_tol * rowmax[row_of])
+    keep = is_diag | (np.abs(A.values) >= rel_tol * rowmax[row_of])
     if np.all(keep):
         return A
     if not lump:
-        offsets = np.zeros(A.nrows + 1, dtype=_INDEX)
-        np.cumsum(np.bincount(row_of[keep], minlength=A.nrows), out=offsets[1:])
-        return SparseMatrix(A.nrows, A.ncols, offsets,
-                            A.col_indices[keep], A.values[keep])
+        return _keep_entries(A, keep)
     dropped = ~keep
     lumped = np.bincount(row_of[dropped], weights=A.values[dropped],
                          minlength=A.nrows)
-    vals = A.values[keep].copy()
-    cols = A.col_indices[keep]
-    rows = row_of[keep]
-    diag_pos = cols == rows
-    has_diag = np.zeros(A.nrows, dtype=bool)
-    has_diag[rows[diag_pos]] = True
-    vals[diag_pos] += lumped[rows[diag_pos]]
-    need_insert = np.flatnonzero(~has_diag & (lumped != 0))
-    if len(need_insert):
-        rows = np.concatenate([rows, need_insert])
-        cols = np.concatenate([cols, need_insert])
-        vals = np.concatenate([vals, lumped[need_insert]])
-        return SparseMatrix.from_coo(A.nrows, A.ncols, rows, cols, vals)
-    offsets = np.zeros(A.nrows + 1, dtype=_INDEX)
-    np.cumsum(np.bincount(rows, minlength=A.nrows), out=offsets[1:])
-    return SparseMatrix(A.nrows, A.ncols, offsets, cols, vals)
+    # Every stored diagonal is kept: it takes its row's dropped mass, and
+    # rows that lump mass but store no diagonal get one inserted in place.
+    diag_rows = row_of[is_diag]
+    kept = _keep_entries(A, keep)
+    kept.values[is_diag[keep]] += lumped[diag_rows]
+    lumped[diag_rows] = 0.0
+    insert = np.flatnonzero(lumped)
+    if len(insert) == 0:
+        return kept
+    pos = np.searchsorted(_entry_keys(kept), insert * A.ncols + insert)
+    offsets = kept.row_offsets + np.searchsorted(insert, np.arange(A.nrows + 1))
+    return SparseMatrix(A.nrows, A.ncols, offsets,
+                        np.insert(kept.col_indices, pos, insert),
+                        np.insert(kept.values, pos, lumped[insert]))
 
 
 def transpose(A):

@@ -6,11 +6,12 @@ block carries no strong couplings), then a diagonal-dominance cleanup pass
 converts the least dominant fine points to coarse points.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparse import SparseMatrix, _row_index, _segment_max, diagonal, extract
+from .sparse import (SparseMatrix, _keep_entries, _row_index, _segment_max,
+                     diagonal, extract)
 
 __all__ = [
     'F_POINT',
@@ -99,14 +100,10 @@ def strength_graph(A, theta):
     absv = np.where(offdiag, np.abs(A.values), 0.0)
     rowmax = _segment_max(absv, A.row_offsets, n)
     keep = offdiag & (A.values != 0) & (np.abs(A.values) >= theta * rowmax[row_of])
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_of[keep], minlength=n), out=offsets[1:])
-    S = SparseMatrix(n, n, offsets, A.col_indices[keep].copy(),
-                     np.ones(int(keep.sum())))
+    S = _keep_entries(A, keep)
+    S = replace(S, values=np.ones(S.nnz))
     closure = SparseMatrix._from_scipy(S._scipy + S._scipy.T.tocsr())
-    closure = SparseMatrix(n, n, closure.row_offsets, closure.col_indices,
-                           np.ones(closure.nnz))
-    return StrengthGraph(S, closure)
+    return StrengthGraph(S, replace(closure, values=np.ones(closure.nnz)))
 
 
 def _luby_ranks(n, degrees, seed):

@@ -460,12 +460,15 @@ def test_setup_products_match_public_spgemm_bitwise(permute):
 
 
 def test_setup_never_builds_the_counting_product(monkeypatch):
-    def refuse(_):
-        raise AssertionError('setup must not run the counting product')
+    # Nor a coordinate sort: setup's operators have no duplicate entries.
+    def refuse(*_):
+        raise AssertionError('setup must not run the counting product '
+                             'or sort coordinates')
 
-    monkeypatch.setattr(sparse, '_pattern_matrix', refuse)
     A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32,
                                                vx=np.cos(np.pi / 4),
                                                vy=np.sin(np.pi / 4)))
+    monkeypatch.setattr(sparse, '_pattern_matrix', refuse)
+    monkeypatch.setattr(SparseMatrix, 'from_coo', refuse)
     H = setup(A, SetupConfig())
     assert H.num_levels > 0

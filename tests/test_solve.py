@@ -217,7 +217,7 @@ def test_assembled_smoother_flop_branch():
         n_f = len(L.split.f_set)
         total += 2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f
         total += 2 * L.f_smoother_assembled.nnz
-    from airmg.solve import _poly_apply_flops
+    from airmg.polynomial import _poly_apply_flops
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
                                H.coarsest_A.nrows)
     assert count_cycle_flops(H) == total

@@ -142,6 +142,14 @@ def test_fixed_sparsity_diagonal_pattern():
     got = spgemm_fixed_sparsity(A, B, SparseMatrix.identity(6))
     expected = np.diag(np.diag(A.to_dense() @ B.to_dense()))
     assert np.max(np.abs(got.to_dense() - expected)) <= 1e-14
+    # Pattern values only mark positions: an explicit zero keeps its
+    # position and non-unit values do not scale the product.
+    weights = np.array([3.0, 0.0, -2.0, 0.5, 7.0, 1e-3])
+    marked = SparseMatrix.csr(6, 6, np.arange(7), np.arange(6), weights)
+    got = spgemm_fixed_sparsity(A, B, marked)
+    assert list(got.row(1)[0]) == [1]
+    assert np.array_equal(got.to_dense(),
+                          np.diag(np.diag(spgemm(A, B).to_dense())))
 
 
 def test_fixed_sparsity_shape_errors():
