@@ -15,11 +15,11 @@ import time
 
 import numpy as np
 
-from .hierarchy import SetupConfig, hierarchy_summary, setup
+from .hierarchy import SETUP_PHASES, SetupConfig, hierarchy_summary, setup
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
 from .sparse import write_matrix_market
-from .splitting import F_POINT, _dominance_ratios
+from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'emit_report', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
@@ -203,7 +203,8 @@ def _write_cf_diagnostics(H, directory):
         w = csv.writer(fh)
         w.writerow(['level', 'bin_lo', 'bin_hi', 'count'])
         for idx, L in enumerate(H.levels):
-            ratios = _dominance_ratios(L.A_ff, L.split.f_set)
+            all_fine = np.full(L.A_ff.nrows, F_POINT, dtype=np.int8)
+            ratios = _dominance_ratios(L.A_ff, CFSplit.from_labels(all_fine))
             counts, edges = np.histogram(ratios, bins=50)
             for b, c in zip(range(50), counts):
                 w.writerow([idx, f'{edges[b]:.6g}', f'{edges[b + 1]:.6g}',
@@ -317,10 +318,8 @@ REPORT_COLUMNS = [
     'n', 'dim', 'nx', 'ny', 'vx', 'vy', 'strong_threshold', 'poly_order',
     'inverse_type', 'iterations', 'converged', 'num_levels', 'truncated_at',
     'cycle_complexity', 'storage_complexity', 'grid_complexity',
-    'setup_seconds', 'solve_seconds', 'setup_cf_split', 'setup_prolongator',
-    'setup_polynomial', 'setup_spgemm_R', 'setup_spgemm_coarse',
-    'setup_extract', 'setup_drop', 'setup_truncation',
-]
+    'setup_seconds', 'solve_seconds',
+] + [f'setup_{phase}' for phase in SETUP_PHASES]
 
 
 def _report_row(result):

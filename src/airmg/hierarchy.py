@@ -4,6 +4,8 @@ Each level splits the unknowns, approximates the inverse of the fine-fine
 block with a fixed polynomial, builds the approximate ideal restriction
 ``R = [Z I]`` with ``Z = -A_cf * Ahat_ff^-1``, pairs it with a one-point
 prolongator, and forms the Galerkin coarse matrix with drop/lump control.
+Each split block is extracted once, by ``build_restriction``; the splitting
+and its repair read the level matrix through the labels, ``P`` uses ``A_fc``.
 Once a high-order tentative coarse polynomial can solve the current level to
 a loose tolerance the hierarchy is truncated there.  After the coarse matrix
 is formed only ``A_ff``, ``A_fc``, ``R`` and ``P`` are retained per level, as
@@ -21,7 +23,7 @@ from .polynomial import (PolySolver, _poly_apply_flops, _random_unit_vector,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
 from .sparse import (SparseMatrix, _row_index, _spgemm_numeric, drop_and_lump,
                      extract, spmv)
-from .splitting import CFSplit, cf_split
+from .splitting import C_POINT, CFSplit, cf_split
 
 __all__ = [
     'SetupConfig',
@@ -203,8 +205,7 @@ def _smoother_for(A_ff, cfg, seed):
     return neumann_poly(A_ff, cfg.poly_order)
 
 
-def build_restriction(A, split, cfg, level=0, timings=None,
-                      return_assembled=False):
+def build_restriction(A, split, cfg, level=0, timings=None):
     """Approximate ideal restriction and the operators kept for smoothing.
 
     Extracts the split blocks, builds the fine-block polynomial (shared by
@@ -215,8 +216,8 @@ def build_restriction(A, split, cfg, level=0, timings=None,
 
     Returns
     -------
-    (R, A_ff, A_fc, f_smoother) -- plus the assembled approximate inverse
-    when ``return_assembled`` is set.
+    (R, A_ff, A_fc, f_smoother, assembled) -- ``assembled`` is the
+    fixed-sparsity inverse of ``A_ff``; ``build_prolongation`` takes ``A_fc``.
     """
     f, c = split.f_set, split.c_set
     with _Timer(timings, 'extract'):
@@ -241,37 +242,36 @@ def build_restriction(A, split, cfg, level=0, timings=None,
         c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=np.int64),
                                c, np.ones(n_c))
         R = SparseMatrix._from_scipy(z_block._scipy + c_block._scipy)
-    if return_assembled:
-        return R, A_ff, A_fc, smoother, assembled
-    return R, A_ff, A_fc, smoother
+    return R, A_ff, A_fc, smoother, assembled
 
 
-def build_prolongation(A, split):
+def build_prolongation(A_fc, split):
     """One-point classical prolongator ``P = [W; I]``.
 
-    Each F row carries a single unit entry in the column of its largest
-    coupling (by absolute value) to a C point, ties resolved to the lowest C
-    index; C rows are the identity.
+    Built from the ``n_f x n_c`` block ``A_fc`` of ``split``: each F row
+    carries a single unit entry in the column of its largest coupling (by
+    absolute value) to a C point, ties resolved to the lowest C index; C rows
+    are the identity.
     """
     f, c = split.f_set, split.c_set
     n, n_c = split.n, len(c)
-    if len(f) == 0:
-        return SparseMatrix.identity(n)
-    A_fC = extract(A, f, c)
-    lens = np.diff(A_fC.row_offsets)
+    if (A_fc.nrows, A_fc.ncols) != (len(f), n_c):
+        raise ValueError(f'A_fc is {A_fc.nrows}x{A_fc.ncols}, but the split '
+                         f'has {len(f)} F and {n_c} C points')
+    lens = np.diff(A_fc.row_offsets)
     if np.any(lens == 0):
         bad = f[int(np.flatnonzero(lens == 0)[0])]
         raise ValueError(f'fine point {bad} has no coupling to any coarse '
                          'point; the splitting is invalid for a one-point '
                          'prolongator')
-    absv = np.abs(A_fC.values)
-    rowmax = np.maximum.reduceat(absv, A_fC.row_offsets[:-1])
-    row_of = _row_index(A_fC)
-    pos = np.arange(A_fC.nnz, dtype=np.int64)
-    candidate = np.where(absv == rowmax[row_of], pos, A_fC.nnz)
-    first = np.minimum.reduceat(candidate, A_fC.row_offsets[:-1])
+    absv = np.abs(A_fc.values)
+    rowmax = np.maximum.reduceat(absv, A_fc.row_offsets[:-1])
+    row_of = _row_index(A_fc)
+    pos = np.arange(A_fc.nnz, dtype=np.int64)
+    candidate = np.where(absv == rowmax[row_of], pos, A_fc.nnz)
+    first = np.minimum.reduceat(candidate, A_fc.row_offsets[:-1])
     cols = np.empty(n, dtype=np.int64)
-    cols[f] = A_fC.col_indices[first]
+    cols[f] = A_fc.col_indices[first]
     cols[c] = np.arange(n_c, dtype=np.int64)
     return SparseMatrix(n, n_c, np.arange(n + 1, dtype=np.int64), cols,
                         np.ones(n))
@@ -294,16 +294,16 @@ def _repair_split(A, split):
     Rows without off-diagonal couplings (inflow boundary rows in the upwind
     problems) can be selected as F but leave the one-point prolongator with
     no column to pick; their exact ideal interpolation weight is zero, and
-    keeping them on the coarse grid instead is harmless.
+    keeping them on the coarse grid instead is harmless.  A coupling is any
+    stored entry in a C column, explicit zeros included.
     """
-    if split.n_f == 0:
-        return split
-    A_fC = extract(A, split.f_set, split.c_set)
-    isolated = np.diff(A_fC.row_offsets) == 0
+    coupled = np.zeros(A.nrows, dtype=bool)
+    coupled[_row_index(A)[split.labels[A.col_indices] == C_POINT]] = True
+    isolated = ~coupled[split.f_set]
     if not np.any(isolated):
         return split
     labels = split.labels.copy()
-    labels[split.f_set[isolated]] = 1  # C_POINT
+    labels[split.f_set[isolated]] = C_POINT
     return CFSplit.from_labels(labels)
 
 
@@ -387,21 +387,16 @@ def setup(A, cfg):
     coarse_solver = None
     while True:
         if current.nrows <= cfg.min_coarse_size:
-            with _Timer(timings, 'truncation'):
-                coarse_solver = _build_coarse_solver(current, cfg, level)
             break
         if level >= cfg.max_levels:
             _log.warning('level budget (%d) exhausted at %d unknowns; '
                          'building the coarse solver here',
                          cfg.max_levels, current.nrows)
-            with _Timer(timings, 'truncation'):
-                coarse_solver = _build_coarse_solver(current, cfg, level)
             break
         with _Timer(timings, 'truncation'):
-            candidate = try_truncate(current, cfg, level,
-                                     start_level=truncate_start)
-        if candidate is not None:
-            coarse_solver = candidate
+            coarse_solver = try_truncate(current, cfg, level,
+                                         start_level=truncate_start)
+        if coarse_solver is not None:
             truncated_at = level
             break
         with _Timer(timings, 'cf_split'):
@@ -411,21 +406,17 @@ def setup(A, cfg):
                 nbins=cfg.ddc_bins)
         if split.n_c == split.n:
             raise ValueError(f'splitting produced no F points at level {level}')
-        if split.n_c > 0:
-            split = _repair_split(current, split)
-        if split.n_c == 0 or split.n_f == 0:
-            # All fine (diagonal matrix) or only isolated fine rows: no
+        split = _repair_split(current, split)
+        if split.n_f == 0:
+            # Only isolated fine rows (all rows of a diagonal matrix): no
             # reduction to perform, solve this level with the polynomial.
             _log.info('level %d needs no further reduction; building the '
                       'coarse solver directly', level)
-            with _Timer(timings, 'truncation'):
-                coarse_solver = _build_coarse_solver(current, cfg, level)
             break
         R, A_ff, A_fc, smoother, assembled = build_restriction(
-            current, split, cfg, level=level, timings=timings,
-            return_assembled=True)
+            current, split, cfg, level=level, timings=timings)
         with _Timer(timings, 'prolongator'):
-            P = build_prolongation(current, split)
+            P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(current, R, P, cfg, timings=timings)
         levels.append(Level(
             R=R, P=P, A_ff=A_ff, A_fc=A_fc, f_smoother=smoother, split=split,
@@ -434,6 +425,9 @@ def setup(A, cfg):
             ddc_stats=tuple(ddc_stats)))
         current = coarse
         level += 1
+    if coarse_solver is None:
+        with _Timer(timings, 'truncation'):
+            coarse_solver = _build_coarse_solver(current, cfg, level)
     H = Hierarchy(levels=levels, coarsest_A=current,
                   coarse_solver=coarse_solver, top_A=A,
                   truncated_at=truncated_at, config=cfg,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sparse import (SparseMatrix, _keep_entries, _row_index, _segment_max,
-                     diagonal, extract)
+                     diagonal)
 
 __all__ = [
     'F_POINT',
@@ -94,12 +94,13 @@ def strength_graph(A, theta):
         raise ValueError('strength graph requires a square matrix')
     if not 0.0 <= theta <= 1.0:
         raise ValueError('theta must lie in [0, 1]')
-    n = A.nrows
     row_of = _row_index(A)
-    offdiag = A.col_indices != row_of
-    absv = np.where(offdiag, np.abs(A.values), 0.0)
-    rowmax = _segment_max(absv, A.row_offsets, n)
-    keep = offdiag & (A.values != 0) & (np.abs(A.values) >= theta * rowmax[row_of])
+    absv = np.abs(A.values)
+    absv[A.col_indices == row_of] = 0.0
+    rowmax = _segment_max(absv, A.row_offsets, A.nrows)
+    keep = (absv > 0) & (absv >= theta * rowmax[row_of])
+    # Release the per-entry temporaries before S and its closure are built.
+    del row_of, absv, rowmax
     S = _keep_entries(A, keep)
     S = replace(S, values=np.ones(S.nnz))
     closure = SparseMatrix._from_scipy(S._scipy + S._scipy.T.tocsr())
@@ -156,29 +157,36 @@ def pmisr(graph, seed, max_luby_loops=None):
     return CFSplit.from_labels(labels)
 
 
-def _dominance_ratios(A_ff, f_set):
-    """Row dominance ratios of the fine-fine block ``A_ff`` of the fine set
-    ``f_set``: off-diagonal absolute sum over absolute diagonal."""
-    diag = diagonal(A_ff)
+def _dominance_ratios(A, split):
+    """Row dominance ratios of the fine-fine block of ``A`` under ``split``
+    (off-diagonal absolute sum over absolute diagonal, in ``f_set`` order).
+    The block is read through the labels; entries outside it add ``+0.0``,
+    so the sums equal those over the extracted block bit for bit."""
+    diag = diagonal(A)[split.f_set]
     if np.any(diag == 0):
-        bad = f_set[int(np.flatnonzero(diag == 0)[0])]
+        bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
         raise ValueError(f'zero diagonal in fine-fine block (fine row {bad}); '
                          'splitting is not usable for reduction')
-    row_of = _row_index(A_ff)
-    offdiag = np.abs(np.where(A_ff.col_indices != row_of, A_ff.values, 0.0))
-    offsum = np.bincount(row_of, weights=offdiag, minlength=A_ff.nrows)
-    return offsum / np.abs(diag)
+    row_of = _row_index(A)
+    in_block = ((split.labels[A.col_indices] == F_POINT)
+                & (A.col_indices != row_of))
+    offdiag = np.where(in_block, np.abs(A.values), 0.0)
+    offsum = np.bincount(row_of, weights=offdiag, minlength=A.nrows)
+    return offsum[split.f_set] / np.abs(diag)
 
 
-def _ddc_core(A, split, fraction, nbins):
+def ddc_pass(A, split, fraction, nbins=1000):
+    """One diagonal-dominance cleanup pass: bin the fine-row dominance ratios
+    into ``nbins`` equal-width bins and convert to C every fine point above
+    the bin boundary whose exceedance count is closest to ``fraction``
+    of the current fine points.  Returns ``(split, DDCPassStats)``."""
     if not 0.0 < fraction < 1.0:
         raise ValueError('fraction must lie in (0, 1)')
     if nbins < 1:
         raise ValueError('nbins must be positive')
     if A.nrows != A.ncols:
         raise ValueError('diagonal-dominance cleanup requires a square matrix')
-    ratios = _dominance_ratios(extract(A, split.f_set, split.f_set),
-                               split.f_set)
+    ratios = _dominance_ratios(A, split)
     n_f = len(ratios)
     target = fraction * n_f
     lo, hi = float(ratios.min()), float(ratios.max())
@@ -204,15 +212,6 @@ def _ddc_core(A, split, fraction, nbins):
     return CFSplit.from_labels(labels), stats
 
 
-def ddc_pass(A, split, fraction, nbins=1000):
-    """One diagonal-dominance cleanup pass: bin the fine-row dominance ratios
-    into ``nbins`` equal-width bins and convert to C every fine point above
-    the bin boundary whose exceedance count is closest to ``fraction``
-    of the current fine points."""
-    new_split, _ = _ddc_core(A, split, fraction, nbins)
-    return new_split
-
-
 def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
              max_luby_loops=None):
     """Full two-pass splitting: independent-set selection followed by
@@ -230,6 +229,6 @@ def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
     for _ in range(ddc_its):
         if split.n_f == 0:
             break
-        split, pass_stats = _ddc_core(A, split, ddc_fraction, nbins)
+        split, pass_stats = ddc_pass(A, split, ddc_fraction, nbins)
         stats.append(pass_stats)
     return split, stats

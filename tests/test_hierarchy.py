@@ -12,7 +12,7 @@ from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
                    cf_split, coarse_matrix, drop_and_lump, extract,
                    hierarchy_summary, setup, spgemm, spmv, try_truncate,
                    vcycle, SolveConfig)
-from airmg import sparse
+from airmg import hierarchy, sparse, splitting
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _repair_split, _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
@@ -30,7 +30,7 @@ def test_restriction_is_ideal_for_diagonal_fine_block():
     A = build_advection_1d(32, 1.5)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=2, seed=0)
     cfg = SetupConfig(poly_order=2)
-    R, A_ff, A_fc, smoother = build_restriction(A, split, cfg)
+    R, A_ff, A_fc, smoother, _ = build_restriction(A, split, cfg)
     assert A_ff.nnz == A_ff.nrows  # diagonal
     A_cf = extract(A, split.c_set, split.f_set)
     Z = R.to_dense()[:, split.f_set]
@@ -53,7 +53,7 @@ def test_restriction_quality_bounded_and_polynomial_improves():
     prev = None
     for order in range(1, 7):
         cfg = SetupConfig(poly_order=order)
-        R, _, _, smoother = build_restriction(A, split, cfg)
+        R, _, _, smoother, _ = build_restriction(A, split, cfg)
         Z = R.to_dense()[:, split.f_set]
         rel = (np.linalg.norm(Z @ dense_ff + A_cf.to_dense())
                / np.linalg.norm(A_cf.to_dense()))
@@ -84,7 +84,7 @@ def test_restriction_r_drop_discards_small_entries():
 def test_prolongation_all_coarse_is_identity():
     A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
     split = labels_from_sets(3, [0, 1, 2])
-    P = build_prolongation(A, split)
+    P = build_prolongation(extract(A, split.f_set, split.c_set), split)
     assert np.array_equal(P.to_dense(), np.eye(3))
 
 
@@ -94,7 +94,7 @@ def test_prolongation_picks_strongest_coupling():
                       [0.0, 0.0, 1.0]])
     A = SparseMatrix.from_dense(dense)
     split = labels_from_sets(3, [1, 2])
-    P = build_prolongation(A, split)
+    P = build_prolongation(extract(A, split.f_set, split.c_set), split)
     # F row 0 interpolates from coarse point 1 (|-0.8| > |-0.3|)
     assert np.array_equal(P.to_dense(),
                           [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -107,7 +107,7 @@ def test_prolongation_tie_takes_lowest_coarse_index():
                       [0.0, 0.0, 1.0]])
     A = SparseMatrix.from_dense(dense)
     split = labels_from_sets(3, [1, 2])
-    P = build_prolongation(A, split)
+    P = build_prolongation(extract(A, split.f_set, split.c_set), split)
     assert np.array_equal(P.to_dense(),
                           [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -119,7 +119,31 @@ def test_prolongation_errors_without_coarse_coupling():
     A = SparseMatrix.from_dense(dense)
     split = labels_from_sets(3, [1, 2])  # F point 0 couples to nothing
     with pytest.raises(ValueError, match='no coupling'):
-        build_prolongation(A, split)
+        build_prolongation(extract(A, split.f_set, split.c_set), split)
+
+
+def test_prolongation_rejects_a_block_of_the_wrong_shape():
+    A = SparseMatrix.from_dense([[2.0, -0.8, -0.3],
+                                 [0.0, 1.0, 0.0],
+                                 [0.0, 0.0, 1.0]])
+    split = labels_from_sets(3, [1, 2])
+    with pytest.raises(ValueError, match='A_fc is 3x3'):
+        build_prolongation(A, split)  # the level matrix, not its F-C block
+
+
+def test_repair_split_converts_fine_rows_without_coarse_coupling():
+    # Row 0 stores only its diagonal, row 1 couples only to F point 0, and
+    # the only C coupling of row 2 is an explicit zero in column 3.
+    A = SparseMatrix.csr(4, 4, [0, 1, 3, 5, 6], [0, 0, 1, 2, 3, 3],
+                         [1.0, -0.5, 1.0, 1.0, 0.0, 1.0])
+    repaired = _repair_split(A, labels_from_sets(4, [3]))
+    assert np.array_equal(repaired.labels,
+                          [C_POINT, C_POINT, F_POINT, C_POINT])
+    P = build_prolongation(extract(A, repaired.f_set, repaired.c_set),
+                           repaired)
+    assert np.array_equal(P.to_dense()[2], [0.0, 0.0, 1.0])
+    all_coarse = labels_from_sets(4, range(4))
+    assert _repair_split(A, all_coarse) is all_coarse
 
 
 def test_prolongation_unit_rows_inside_setup():
@@ -152,8 +176,8 @@ def test_coarse_matrix_matches_schur_complement():
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=1)
     split = _repair_split(A, split)
     cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
-    R, A_ff, A_fc, _ = build_restriction(A, split, cfg)
-    P = build_prolongation(A, split)
+    R, A_ff, A_fc, _, _ = build_restriction(A, split, cfg)
+    P = build_prolongation(A_fc, split)
     got = coarse_matrix(A, R, P, cfg).to_dense()
     f, c = split.f_set, split.c_set
     dense = A.to_dense()
@@ -169,8 +193,8 @@ def test_coarse_matrix_zero_drop_keeps_everything():
     split = _repair_split(A, split)
     base = SetupConfig(poly_order=1, a_drop=0.0, lump=False)
     lumped = SetupConfig(poly_order=1, a_drop=0.0, lump=True)
-    R, _, _, _ = build_restriction(A, split, base)
-    P = build_prolongation(A, split)
+    R, _, A_fc, _, _ = build_restriction(A, split, base)
+    P = build_prolongation(A_fc, split)
     got_a = coarse_matrix(A, R, P, base).to_dense()
     got_b = coarse_matrix(A, R, P, lumped).to_dense()
     assert np.array_equal(got_a, got_b)
@@ -444,9 +468,9 @@ def test_setup_products_match_public_spgemm_bitwise(permute):
         split, _ = cf_split(A, cfg.strong_threshold, cfg.ddc_fraction,
                             cfg.ddc_its, seed=level)
         split = _repair_split(A, split)
-        R, _, _, _, assembled = build_restriction(A, split, cfg, level=level,
-                                                  return_assembled=True)
-        P = build_prolongation(A, split)
+        R, _, A_fc, _, assembled = build_restriction(A, split, cfg,
+                                                     level=level)
+        P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(A, R, P, cfg)
         _assert_same_without_zeros(
             coarse,
@@ -472,3 +496,22 @@ def test_setup_never_builds_the_counting_product(monkeypatch):
     monkeypatch.setattr(SparseMatrix, 'from_coo', refuse)
     H = setup(A, SetupConfig())
     assert H.num_levels > 0
+
+
+def test_setup_extracts_three_blocks_per_level(monkeypatch):
+    # A_ff, A_fc and A_cf once each; the splitting, its repair and P read
+    # the level matrix through the labels or reuse A_fc.
+    calls = []
+
+    def counting_extract(*args):
+        calls.append(args)
+        return extract(*args)
+
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32,
+                                               vx=np.cos(np.pi / 4),
+                                               vy=np.sin(np.pi / 4)))
+    monkeypatch.setattr(hierarchy, 'extract', counting_extract)
+    H = setup(A, SetupConfig())
+    assert H.num_levels > 0
+    assert len(calls) == 3 * H.num_levels
+    assert not hasattr(splitting, 'extract')

@@ -53,8 +53,8 @@ def test_two_level_ideal_restriction_zeroes_coarse_error():
     A_ff = extract(A, split.f_set, split.f_set)
     assert A_ff.nnz == A_ff.nrows
     cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
-    R, _, _, _ = build_restriction(A, split, cfg)
-    P = build_prolongation(A, split)
+    R, _, A_fc, _, _ = build_restriction(A, split, cfg)
+    P = build_prolongation(A_fc, split)
     A_coarse = coarse_matrix(A, R, P, cfg)
     rng = np.random.default_rng(51)
     e0 = rng.uniform(-1, 1, A.nrows)
