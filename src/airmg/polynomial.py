@@ -296,7 +296,8 @@ def _apply_horner(coeffs, A, b):
     d = len(coeffs) - 1
     y = coeffs[d] * b
     for j in range(d - 1, -1, -1):
-        y = spmv(A, y) + coeffs[j] * b
+        y = spmv(A, y)
+        y += coeffs[j] * b
     return y
 
 
@@ -304,7 +305,9 @@ def _apply_neumann(p, A, b):
     t = p.diag_scale * b
     acc = t.copy()
     for _ in range(p.effective_order):
-        t = t - p.diag_scale * spmv(A, t)
+        w = spmv(A, t)
+        w *= p.diag_scale
+        t -= w
         acc += t
     return acc
 
@@ -318,9 +321,18 @@ def _apply_newton(roots, A, b):
     the floating-point range (a polynomial genuinely beyond double
     precision) the application stops at the last finite partial sum, so the
     result is always finite and NaN-free.
+
+    Vectors are updated in place through one scratch buffer, with the
+    operations and their order of the plain form, so results are bitwise
+    equal to it.  A real root's contribution ``c * u`` is tested as the
+    scalar ``|c| * max|u|``, reusing the maximum the rescale test computes:
+    rounding is monotonic, so that product is finite exactly when every
+    entry of ``c * u`` is.
     """
     x = np.zeros_like(b)
     u = b.copy()
+    buf = np.empty_like(b)
+    umax = np.max(np.abs(u))
     scale = 1.0
     i = 0
     with np.errstate(over='ignore', invalid='ignore'):
@@ -328,30 +340,41 @@ def _apply_newton(roots, A, b):
             th = roots[i]
             if th.imag == 0:
                 t = th.real
-                delta = (scale / t) * u
-                if not np.all(np.isfinite(delta)):
+                c = scale / t
+                if not math.isfinite(abs(c) * umax):
                     break
-                x += delta
-                u -= spmv(A, u) / t
+                np.multiply(c, u, out=buf)
+                x += buf
+                w = spmv(A, u)
+                w /= t
+                u -= w
                 i += 1
             else:
-                a = th.real
+                a2 = 2.0 * th.real
                 m2 = (th * np.conj(th)).real
                 w = spmv(A, u)
-                delta = (scale / m2) * (2.0 * a * u - w)
-                if not np.all(np.isfinite(delta)):
+                np.multiply(a2, u, out=buf)
+                buf -= w
+                buf *= scale / m2
+                if not np.isfinite(buf).all():
                     break
-                x += delta
-                u += (spmv(A, w) - 2.0 * a * w) / m2
+                x += buf
+                z = spmv(A, w)
+                w *= a2
+                z -= w
+                z /= m2
+                u += z
                 i += 2
-            nrm = np.max(np.abs(u))
-            if nrm == 0.0:
+            np.abs(u, out=buf)
+            umax = buf.max()
+            if umax == 0.0:
                 break
-            if nrm > _SCALE_LIMIT or nrm < 1.0 / _SCALE_LIMIT:
-                u /= nrm
-                scale *= nrm
+            if umax > _SCALE_LIMIT or umax < 1.0 / _SCALE_LIMIT:
+                u /= umax
+                scale *= umax
                 if not np.isfinite(scale) or scale == 0.0:
                     break
+                umax = np.max(np.abs(u))
     return x
 
 

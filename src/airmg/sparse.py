@@ -16,6 +16,14 @@ by ``_keep_entries``; operators with one entry per row (the one-point
 prolongator) are written directly.  ``SparseMatrix.from_coo`` sorts and sums
 coordinate triplets and is meant for outside input, such as test problems and
 Matrix Market files.
+
+scipy is the sparse backend, and this is the only module that imports it.
+Products and conversions go through its public ``csr_matrix``.  ``spmv``
+calls the CSR matrix-vector kernel of ``scipy.sparse._sparsetools``, the one
+private scipy name used anywhere: it is the kernel that ``csr_matrix @ x``
+reaches, so results are bitwise equal, but the solve makes thousands of
+products with matrices of a few dozen rows, where the dispatch around
+``@`` costs more than the kernel.
 """
 
 import io
@@ -24,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as _spsparse
+from scipy.sparse import _sparsetools
 
 __all__ = [
     'SparseMatrix',
@@ -136,6 +145,12 @@ class SparseMatrix:
 
     @cached_property
     def _scipy(self):
+        """scipy CSR view sharing ``values``, built on first use.
+
+        scipy copies the offsets and column indices down to int32 when they
+        fit, and ``spmv`` runs on that copy: the narrower indices move less
+        memory per product than ``col_indices`` would.
+        """
         m = _spsparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
                                  shape=(self.nrows, self.ncols), copy=False)
         m.has_sorted_indices = True
@@ -220,12 +235,19 @@ def validate(A):
 
 
 def spmv(A, x):
-    """Sparse matrix-vector product ``A @ x``."""
+    """Sparse matrix-vector product ``A @ x`` into a new vector.
+
+    Runs scipy's CSR kernel on the cached ``A._scipy`` view directly, the
+    same kernel and summation order as ``A._scipy @ x`` without the dispatch.
+    """
     x = np.asarray(x, dtype=_VALUE)
     if x.ndim != 1 or len(x) != A.ncols:
         raise ValueError(f'vector of length {len(x)} incompatible with '
                          f'{A.nrows}x{A.ncols} matrix')
-    return A._scipy @ x
+    m = A._scipy
+    y = np.zeros(A.nrows, dtype=_VALUE)
+    _sparsetools.csr_matvec(A.nrows, A.ncols, m.indptr, m.indices, m.data, x, y)
+    return y
 
 
 def _pattern_matrix(A):

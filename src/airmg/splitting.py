@@ -10,8 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparse import (SparseMatrix, _keep_entries, _row_index, _segment_max,
-                     diagonal)
+from .sparse import SparseMatrix, _keep_entries, _row_index, _segment_max
 
 __all__ = [
     'F_POINT',
@@ -162,14 +161,16 @@ def _dominance_ratios(A, split):
     (off-diagonal absolute sum over absolute diagonal, in ``f_set`` order).
     The block is read through the labels; entries outside it add ``+0.0``,
     so the sums equal those over the extracted block bit for bit."""
-    diag = diagonal(A)[split.f_set]
+    row_of = _row_index(A)
+    is_diag = A.col_indices == row_of
+    diag = np.zeros(A.nrows)
+    diag[row_of[is_diag]] = A.values[is_diag]
+    diag = diag[split.f_set]
     if np.any(diag == 0):
         bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
         raise ValueError(f'zero diagonal in fine-fine block (fine row {bad}); '
                          'splitting is not usable for reduction')
-    row_of = _row_index(A)
-    in_block = ((split.labels[A.col_indices] == F_POINT)
-                & (A.col_indices != row_of))
+    in_block = (split.labels[A.col_indices] == F_POINT) & ~is_diag
     offdiag = np.where(in_block, np.abs(A.values), 0.0)
     offsum = np.bincount(row_of, weights=offdiag, minlength=A.nrows)
     return offsum[split.f_set] / np.abs(diag)

@@ -9,11 +9,11 @@ coefficient form, and the assembled form against dense masked-power oracles.
 import numpy as np
 import pytest
 
-from airmg import (SparseMatrix, apply_matrix_free, assemble_fixed_sparsity,
-                   build_advection_1d, build_advection_2d, AdvectionProblem,
-                   cf_split, extract, gmres_poly_arnoldi, gmres_poly_newton,
-                   neumann_poly, spmv)
-from airmg.polynomial import _random_unit_vector, export_diagnostics
+from airmg import (PolySolver, SparseMatrix, apply_matrix_free,
+                   assemble_fixed_sparsity, build_advection_1d,
+                   build_advection_2d, AdvectionProblem, cf_split, extract,
+                   gmres_poly_arnoldi, gmres_poly_newton, neumann_poly, spmv)
+from airmg.polynomial import _SCALE_LIMIT, _random_unit_vector, export_diagnostics
 
 
 def dense_gmres_residual(A_dense, b, m):
@@ -55,6 +55,83 @@ def generating_residual(p, A, seed):
     b = _random_unit_vector(A.nrows, seed)
     x = apply_matrix_free(p, A, b)
     return np.linalg.norm(b - spmv(A, x))
+
+
+# Plain-form references for the matrix-free applications: one new vector per
+# operation, no scratch buffers.  The library's in-place loops must reproduce
+# them bit for bit.
+
+def reference_horner(coeffs, A, b):
+    d = len(coeffs) - 1
+    y = coeffs[d] * b
+    for j in range(d - 1, -1, -1):
+        y = spmv(A, y) + coeffs[j] * b
+    return y
+
+
+def reference_neumann(p, A, b):
+    t = p.diag_scale * b
+    acc = t.copy()
+    for _ in range(p.effective_order):
+        t = t - p.diag_scale * spmv(A, t)
+        acc += t
+    return acc
+
+
+def reference_newton(roots, A, b, trace=None):
+    """Plain factored form; ``trace`` collects ``'rescale'`` and ``'stop'``
+    events so a test can show which paths it reached."""
+    trace = [] if trace is None else trace
+    x = np.zeros_like(b)
+    u = b.copy()
+    scale = 1.0
+    i = 0
+    with np.errstate(over='ignore', invalid='ignore'):
+        while i < len(roots):
+            th = roots[i]
+            if th.imag == 0:
+                t = th.real
+                delta = (scale / t) * u
+                if not np.all(np.isfinite(delta)):
+                    trace.append('stop')
+                    break
+                x += delta
+                u -= spmv(A, u) / t
+                i += 1
+            else:
+                a = th.real
+                m2 = (th * np.conj(th)).real
+                w = spmv(A, u)
+                delta = (scale / m2) * (2.0 * a * u - w)
+                if not np.all(np.isfinite(delta)):
+                    trace.append('stop')
+                    break
+                x += delta
+                u += (spmv(A, w) - 2.0 * a * w) / m2
+                i += 2
+            nrm = np.max(np.abs(u))
+            if nrm == 0.0:
+                break
+            if nrm > _SCALE_LIMIT or nrm < 1.0 / _SCALE_LIMIT:
+                trace.append('rescale')
+                u /= nrm
+                scale *= nrm
+                if not np.isfinite(scale) or scale == 0.0:
+                    trace.append('stop')
+                    break
+    return x
+
+
+def assert_matches_reference(p, A, b):
+    if p.kind == 'arnoldi_coeff':
+        want = reference_horner(p.coeffs, A, b)
+    elif p.kind == 'neumann':
+        want = reference_neumann(p, A, b)
+    else:
+        want = reference_newton(p.roots, A, b)
+    got = apply_matrix_free(p, A, b)
+    assert np.array_equal(got, want)
+    return got
 
 
 def test_arnoldi_scaled_identity_exact():
@@ -172,7 +249,10 @@ def test_newton_high_order_finite_on_wide_spectrum():
     A = SparseMatrix.from_dense(np.diag(np.geomspace(1e-4, 1e4, 120)))
     p = gmres_poly_newton(A, order=100, seed=4)
     b = rng.uniform(-1, 1, 120)
-    x = apply_matrix_free(p, A, b)
+    trace = []
+    reference_newton(p.roots, A, b, trace)
+    assert 'rescale' in trace
+    x = assert_matches_reference(p, A, b)
     assert np.all(np.isfinite(x))
 
 
@@ -180,8 +260,9 @@ def test_newton_order_100_on_dd_matrix_finite_and_accurate():
     rng = np.random.default_rng(35)
     A = random_dd_matrix(rng, 300, density=0.05)
     p = gmres_poly_newton(A, order=100, seed=6)
+    assert np.any(p.roots.imag == 0) and np.any(p.roots.imag != 0)
     b = _random_unit_vector(300, 777)
-    x = apply_matrix_free(p, A, b)
+    x = assert_matches_reference(p, A, b)
     assert np.all(np.isfinite(x))
     assert np.linalg.norm(b - spmv(A, x)) < 1e-8
 
@@ -333,3 +414,34 @@ def test_export_diagnostics_schema():
     assert isinstance(d['coeffs'], list)
     assert d['roots'] is None
     assert len(d['generating_residual_history']) >= 1
+
+
+@pytest.mark.parametrize('order', [0, 2, 6, 10])
+def test_arnoldi_apply_bitwise_equals_plain_form(order):
+    rng = np.random.default_rng(60 + order)
+    for n in (12, 40):
+        A = random_dd_matrix(rng, n, density=0.2)
+        p = gmres_poly_arnoldi(A, order=order, seed=order)
+        assert_matches_reference(p, A, rng.uniform(-1, 1, n))
+
+
+def test_neumann_apply_bitwise_equals_plain_form():
+    rng = np.random.default_rng(61)
+    A = random_dd_matrix(rng, 40, density=0.2)
+    assert_matches_reference(neumann_poly(A, 4), A, rng.uniform(-1, 1, 40))
+
+
+@pytest.mark.parametrize('roots', [
+    np.full(8, 1e-100, dtype=np.complex128),
+    np.array([1e-100 + 1e-100j, 1e-100 - 1e-100j] * 4),
+], ids=['real', 'conjugate_pair'])
+def test_newton_out_of_range_stops_at_last_finite_sum(roots):
+    A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
+    b = np.array([1.0, -0.5, 0.25])
+    p = PolySolver(kind='newton_roots', order=len(roots),
+                   effective_order=len(roots), roots=roots)
+    trace = []
+    reference_newton(roots, A, b, trace)
+    assert trace[-1] == 'stop'
+    x = assert_matches_reference(p, A, b)
+    assert np.all(np.isfinite(x)) and np.any(x != 0)

@@ -1,12 +1,18 @@
 """Sparse kernel tests against dense numpy oracles."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.sparse import _compressed
 
-from airmg import (SparseMatrix, diagonal, drop_and_lump, extract,
-                   read_matrix_market, spgemm, spgemm_fixed_sparsity, spmv,
-                   transpose, validate, write_matrix_market)
+from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
+                   build_advection_2d, diagonal, drop_and_lump, extract,
+                   read_matrix_market, richardson_solve, setup, spgemm,
+                   spgemm_fixed_sparsity, spmv, transpose, validate,
+                   write_matrix_market)
 from airmg.sparse import _spgemm_numeric
 
 
@@ -36,8 +42,79 @@ def test_spmv_matches_dense_oracle():
 
 
 def test_spmv_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='vector of length 4 incompatible '
+                                         'with 3x3 matrix'):
         spmv(SparseMatrix.identity(3), np.ones(4))
+
+
+def random_with_empty_rows_and_zeros(rng, nrows, ncols):
+    """Random CSR with some empty rows and some stored explicit zeros."""
+    dense = random_sparse(rng, nrows, ncols, 0.3).to_dense()
+    dense[rng.random(nrows) < 0.3] = 0.0
+    pattern = dense != 0
+    pattern |= rng.random((nrows, ncols)) < 0.05
+    rows, cols = np.nonzero(pattern)
+    return SparseMatrix.from_coo(nrows, ncols, rows, cols, dense[rows, cols])
+
+
+def test_spmv_bitwise_equals_scipy_matmul():
+    rng = np.random.default_rng(12)
+    for nrows, ncols in [(30, 30), (17, 45), (45, 17), (0, 6), (6, 0), (0, 0)]:
+        A = random_with_empty_rows_and_zeros(rng, nrows, ncols)
+        x = rng.uniform(-1, 1, ncols)
+        got = spmv(A, x)
+        assert got.dtype == np.float64 and got.shape == (nrows,)
+        assert np.array_equal(got, A._scipy @ x)
+        if nrows == 30:
+            assert np.any(np.diff(A.row_offsets) == 0)
+            assert np.any(A.values == 0.0)
+
+
+def test_spmv_accepts_strided_integer_and_list_vectors():
+    rng = np.random.default_rng(13)
+    A = random_with_empty_rows_and_zeros(rng, 20, 20)
+    wide = rng.uniform(-1, 1, 40)
+    assert np.array_equal(spmv(A, wide[::2]), A._scipy @ wide[::2])
+    ints = np.arange(-10, 10)
+    assert np.array_equal(spmv(A, ints), A._scipy @ ints.astype(np.float64))
+    listed = [float(v) for v in wide[:20]]
+    assert np.array_equal(spmv(A, listed), A._scipy @ wide[:20])
+
+
+def test_setup_and_solve_do_not_use_scipy_matvec_dispatch(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError('a product went through csr_matrix @ vector')
+
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
+    monkeypatch.setattr(_compressed._cs_matrix, '_matmul_vector', refuse)
+    H = setup(A, SetupConfig())
+    b = np.random.default_rng(14).uniform(-1, 1, A.nrows)
+    x, stats = richardson_solve(H, b, np.zeros(A.nrows), SolveConfig())
+    assert stats.converged
+    assert np.linalg.norm(b - spmv(A, x)) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_only_sparse_module_imports_scipy():
+    """One module owns the sparse backend: only ``sparse.py`` imports scipy,
+    and scipy's private ``_sparsetools`` is named nowhere else."""
+    src = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'airmg'
+    modules = sorted(src.glob('*.py'))
+    assert any(path.name == 'sparse.py' for path in modules)
+    for path in modules:
+        text = path.read_text()
+        imported = []
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append(node.module)
+        uses_scipy = any(m.split('.')[0] == 'scipy' for m in imported)
+        if path.name == 'sparse.py':
+            assert uses_scipy
+        else:
+            assert not uses_scipy, path.name
+            assert '_sparsetools' not in text, path.name
 
 
 def test_spgemm_identity_left_bit_identical():
