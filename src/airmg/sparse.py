@@ -343,24 +343,28 @@ def extract(A, rows, cols):
                         colmap[kept.col_indices], kept.values)
 
 
-def drop_and_lump(A, rel_tol, lump):
+def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):
     """Drop small off-diagonal entries, optionally lumping them onto the diagonal.
 
-    An off-diagonal entry is dropped when ``|a_ij| < rel_tol * max_k |a_ik]``
+    An off-diagonal entry is dropped when ``|a_ij| < rel_tol * max_k |a_ik|``
     (row-relative threshold).  Diagonal entries are never dropped.  With
     ``lump=True`` each dropped value is added to the row's diagonal, which
     preserves row sums; a diagonal entry is inserted if a row lumps mass but
-    stores none.
+    stores none.  ``keep_diagonal=False`` applies the threshold to every entry,
+    for blocks such as the ``Z`` of a restriction whose ``(i, i)`` entries are
+    not diagonal; it cannot be combined with lumping.
     """
     if rel_tol < 0:
         raise ValueError('rel_tol must be non-negative')
     if lump and A.nrows != A.ncols:
         raise ValueError('lumping requires a square matrix')
+    if lump and not keep_diagonal:
+        raise ValueError('lumping requires keep_diagonal')
     if rel_tol == 0 or A.nnz == 0:
         return A
     row_of = _row_index(A)
     rowmax = _segment_max(np.abs(A.values), A.row_offsets, A.nrows)
-    is_diag = A.col_indices == row_of
+    is_diag = (A.col_indices == row_of) & keep_diagonal
     keep = is_diag | (np.abs(A.values) >= rel_tol * rowmax[row_of])
     if np.all(keep):
         return A

@@ -179,16 +179,16 @@ def test_criterion_04_ideal_restriction_property():
 
 
 def test_criterion_05_convergence_under_refinement():
-    with criterion(5, 'pi/4 problem converges in <= 12 iterations with '
-                      'near-constant counts across 128^2..512^2', 300):
+    with criterion(5, 'pi/4 problem converges in 6 iterations at every '
+                      'size from 128^2 to 512^2', 300):
         counts = {}
         for nx in (128, 256, 512):
-            _, _, _, stats = pi4_run(nx)
+            _, _, H, stats = pi4_run(nx)
             assert stats.converged
-            assert stats.iterations <= 12
             counts[nx] = stats.iterations
-        assert max(counts.values()) - min(counts.values()) <= 2
-        print(f'  iteration counts: {counts}')
+            print(f'  {nx}^2: {stats.iterations} iterations, cycle '
+                  f'complexity {H.cycle_complexity:.2f}')
+        assert all(its == 6 for its in counts.values()), counts
 
 
 def test_criterion_06_truncation_neutrality():

@@ -4,6 +4,7 @@ import csv
 import json
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,33 @@ def test_flag_maps_cover_configs_exactly():
              for opt in action.option_strings}
     for flag in list(SETUP_FLAG_MAP) + list(SOLVE_FLAG_MAP):
         assert flag in known, f'{flag} missing from the parser'
+
+
+def _readme_flag_defaults():
+    """``{config field: default cell}`` from the README flag reference."""
+    readme = Path(__file__).resolve().parents[1] / 'README.md'
+    table = {}
+    for line in readme.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip('|').split('|')]
+        if len(cells) == 4 and cells[0].startswith('`--'):
+            table[cells[1].strip('`')] = cells[2]
+    return table
+
+
+def test_readme_flag_defaults_match_configs():
+    table = _readme_flag_defaults()
+    for config in (SetupConfig(), SolveConfig()):
+        for f in fields(config):
+            value = getattr(config, f.name)
+            cell = table[f.name]
+            if value is None:
+                continue  # described in words, such as 'auto'
+            if isinstance(value, bool):
+                assert cell == ('on' if value else 'off'), f.name
+            elif isinstance(value, str):
+                assert cell == f'`{value}`', f.name
+            else:
+                assert float(cell) == value, f.name
 
 
 def test_config_error_exit_code(tmp_path):

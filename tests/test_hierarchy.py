@@ -10,8 +10,8 @@ from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
                    SparseMatrix, apply_matrix_free, build_advection_1d,
                    build_advection_2d, build_prolongation, build_restriction,
                    cf_split, coarse_matrix, drop_and_lump, extract,
-                   hierarchy_summary, setup, spgemm, spmv, try_truncate,
-                   vcycle, SolveConfig)
+                   hierarchy_summary, richardson_solve, setup, spgemm, spmv,
+                   try_truncate, vcycle, SolveConfig)
 from airmg import hierarchy, sparse, splitting
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _repair_split, _resolve_truncate_start)
@@ -79,6 +79,23 @@ def test_restriction_r_drop_discards_small_entries():
     if R_loose.nnz < R_tight.nnz:
         assert not np.allclose(R_loose.to_dense().sum(axis=1),
                                R_tight.to_dense().sum(axis=1))
+
+
+def test_restriction_r_drop_never_touches_the_identity_block():
+    # Under a random ordering some Z entries sit at local (i, i) positions;
+    # they are not diagonal entries and must meet the threshold like the rest.
+    A, _ = build_advection_2d(AdvectionProblem(nx=48, ny=48,
+                                               vx=np.cos(np.pi / 4),
+                                               vy=np.sin(np.pi / 4)))
+    A = _permuted(A, 5)
+    r_drop = 0.99
+    H = setup(A, SetupConfig(r_drop=r_drop, auto_truncate_tol=None))
+    for L in H.levels:
+        R = L.R.to_dense()
+        assert np.array_equal(R[:, L.split.c_set], np.eye(L.split.n_c))
+        Z = np.abs(R[:, L.split.f_set])
+        rowmax = Z.max(axis=1, keepdims=True)
+        assert np.all((Z == 0) | (Z >= r_drop * rowmax))
 
 
 def test_prolongation_all_coarse_is_identity():
@@ -287,6 +304,34 @@ def test_setup_cyclic_reduction_limit_single_cycle():
     assert np.linalg.norm(b - spmv(A, e)) <= 1e-12 * np.linalg.norm(b)
 
 
+def test_default_drops_keep_complexity_flat_in_n():
+    cc = {}
+    for nx in (128, 256):
+        A, _ = build_advection_2d(AdvectionProblem(nx=nx, ny=nx,
+                                                   vx=np.cos(np.pi / 4),
+                                                   vy=np.sin(np.pi / 4)))
+        cc[nx] = setup(A, SetupConfig()).cycle_complexity
+    assert cc[256] / cc[128] <= 1.10, cc
+
+
+def test_default_drops_leave_the_1d_chain_alone():
+    # Cyclic reduction has no fill, so the filters find nothing to drop.
+    A = build_advection_1d(4096, 1.0)
+    b = np.random.default_rng(3).uniform(-1, 1, A.nrows)
+    runs = []
+    for cfg in (SetupConfig(), SetupConfig(a_drop=0.0, r_drop=0.0)):
+        H = setup(A, cfg)
+        _, stats = richardson_solve(H, b, np.zeros(A.nrows), SolveConfig())
+        runs.append((H, stats.residual_history))
+    (H_def, hist_def), (H_off, hist_off) = runs
+    assert hist_def == hist_off
+    assert len(H_def.levels) == len(H_off.levels)
+    for got, want in zip(H_def.levels, H_off.levels):
+        for name in ('R', 'P', 'A_ff', 'A_fc'):
+            _assert_same_bits(getattr(got, name), getattr(want, name))
+    _assert_same_bits(H_def.coarsest_A, H_off.coarsest_A)
+
+
 def test_setup_level_sizes_strictly_decrease():
     A, _ = build_advection_2d(AdvectionProblem(nx=24, ny=24, vx=0.8, vy=0.6))
     H = setup(A, SetupConfig(auto_truncate_tol=None))
@@ -453,6 +498,14 @@ def _assert_same_without_zeros(got, expected):
     assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
 
 
+def _assert_same_bits(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert np.array_equal(got.row_offsets, want.row_offsets)
+    assert np.array_equal(got.col_indices, want.col_indices)
+    assert np.array_equal(got.values.view(np.uint64),
+                          want.values.view(np.uint64))
+
+
 @pytest.mark.parametrize('permute', [False, True])
 def test_setup_products_match_public_spgemm_bitwise(permute):
     # On every level, the numeric-only products inside setup give the same
@@ -476,10 +529,12 @@ def test_setup_products_match_public_spgemm_bitwise(permute):
             coarse,
             drop_and_lump(spgemm(R, spgemm(A, P)), cfg.a_drop, lump=cfg.lump))
         ref = spgemm(extract(A, split.c_set, split.f_set), assembled)
-        _assert_same_without_zeros(
-            extract(R, np.arange(split.n_c), split.f_set),
+        ref = drop_and_lump(
             SparseMatrix(ref.nrows, ref.ncols, ref.row_offsets,
-                         ref.col_indices, -ref.values))
+                         ref.col_indices, -ref.values),
+            cfg.r_drop, lump=False, keep_diagonal=False)
+        _assert_same_without_zeros(
+            extract(R, np.arange(split.n_c), split.f_set), ref)
         A = coarse
 
 

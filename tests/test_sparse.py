@@ -331,6 +331,17 @@ def test_drop_and_lump_nonsquare_lump_error():
     drop_and_lump(A, 0.1, lump=False)  # fine without lumping
 
 
+def test_drop_and_lump_keep_diagonal_false_thresholds_every_entry():
+    A = SparseMatrix.from_dense([[1e-3, 1.0, 0.5],
+                                 [2.0, 1e-3, 0.0]])
+    assert drop_and_lump(A, 0.01, lump=False).nnz == 5
+    got = drop_and_lump(A, 0.01, lump=False, keep_diagonal=False)
+    assert np.array_equal(got.to_dense(), [[0.0, 1.0, 0.5], [2.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        drop_and_lump(SparseMatrix.identity(2), 0.1, lump=True,
+                      keep_diagonal=False)
+
+
 def test_transpose_identity():
     got = transpose(SparseMatrix.identity(4))
     assert np.array_equal(got.to_dense(), np.eye(4))
