@@ -296,7 +296,7 @@ def coarse_matrix(A, R, P, cfg, timings=None):
         return drop_and_lump(coarse, cfg.a_drop, lump=cfg.lump)
 
 
-def _repair_split(A, split):
+def _repair_split(A, split, row_of):
     """Convert to C any F point whose matrix row has no coupling to a C point.
 
     Rows without off-diagonal couplings (inflow boundary rows in the upwind
@@ -306,7 +306,8 @@ def _repair_split(A, split):
     stored entry in a C column, explicit zeros included.
     """
     coupled = np.zeros(A.nrows, dtype=bool)
-    coupled[_row_index(A)[split.labels[A.col_indices] == C_POINT]] = True
+    at_c = np.flatnonzero(split.labels[A.col_indices] == C_POINT)
+    coupled[row_of[at_c]] = True
     isolated = ~coupled[split.f_set]
     if not np.any(isolated):
         return split
@@ -408,13 +409,15 @@ def setup(A, cfg):
             truncated_at = level
             break
         with _Timer(timings, 'cf_split'):
+            row_of = _row_index(current)
             split, ddc_stats = cf_split(
                 current, cfg.strong_threshold, cfg.ddc_fraction, cfg.ddc_its,
                 _derive_seed(cfg.seed, level, _SEED_SPLIT),
-                nbins=cfg.ddc_bins)
+                nbins=cfg.ddc_bins, row_of=row_of)
         if split.n_c == split.n:
             raise ValueError(f'splitting produced no F points at level {level}')
-        split = _repair_split(current, split)
+        split = _repair_split(current, split, row_of)
+        del row_of
         if split.n_f == 0:
             # Only isolated fine rows (all rows of a diagonal matrix): no
             # reduction to perform, solve this level with the polynomial.

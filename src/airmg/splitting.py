@@ -3,14 +3,16 @@
 The splitting is built for reduction multigrid: the fine points are chosen as
 a maximal independent set of the symmetrised strength graph (so the fine-fine
 block carries no strong couplings), then a diagonal-dominance cleanup pass
-converts the least dominant fine points to coarse points.
+converts the least dominant fine points to coarse points.  The functions
+that read the level matrix take its row index ``row_of`` (the row of each
+stored entry, built when not given), so one build serves the whole split.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseMatrix, _keep_entries, _row_index, _segment_max
+from .sparse import _keep_entries, _row_index, _row_max, _symmetric_pattern
 
 __all__ = [
     'F_POINT',
@@ -32,15 +34,15 @@ _UNDECIDED, _FINE, _COARSE = 0, 1, 2
 
 @dataclass(frozen=True)
 class StrengthGraph:
-    """Strong-connection adjacency ``S`` (unit values, no diagonal) and the
-    pattern of ``S + S^T``."""
+    """Pattern of ``S + S^T`` for the strong-connection adjacency ``S`` (no
+    diagonal): CSR row offsets and sorted column indices, no values."""
 
-    S: SparseMatrix
-    symmetric_closure: SparseMatrix
+    row_offsets: np.ndarray
+    col_indices: np.ndarray
 
     @property
     def n(self):
-        return self.S.nrows
+        return len(self.row_offsets) - 1
 
 
 @dataclass(frozen=True)
@@ -83,88 +85,76 @@ class DDCPassStats:
     cut: float
 
 
-def strength_graph(A, theta):
-    """Strong connections of ``A``: edge ``(i, j)`` is present iff ``j != i``,
-    ``a_ij`` is nonzero, and ``|a_ij| >= theta * max_{k != i} |a_ik|``.
-
-    ``theta = 0`` keeps every nonzero off-diagonal.
+def strength_graph(A, theta, row_of=None):
+    """Closure pattern of the strong connections of ``A``: ``j`` is strong
+    for row ``i`` iff ``j != i``, ``a_ij`` is nonzero, and
+    ``|a_ij| >= theta * max_{k != i} |a_ik|``; the graph holds ``(i, j)``
+    when either direction is strong.  ``theta = 0`` keeps every nonzero
+    off-diagonal.
     """
     if A.nrows != A.ncols:
         raise ValueError('strength graph requires a square matrix')
     if not 0.0 <= theta <= 1.0:
         raise ValueError('theta must lie in [0, 1]')
-    row_of = _row_index(A)
+    row_of = _row_index(A) if row_of is None else row_of
     absv = np.abs(A.values)
-    absv[A.col_indices == row_of] = 0.0
-    rowmax = _segment_max(absv, A.row_offsets, A.nrows)
+    absv[np.flatnonzero(A.col_indices == row_of)] = 0.0
+    rowmax = _row_max(absv, row_of, A.nrows)
     keep = (absv > 0) & (absv >= theta * rowmax[row_of])
-    # Release the per-entry temporaries before S and its closure are built.
-    del row_of, absv, rowmax
-    S = _keep_entries(A, keep)
-    S = replace(S, values=np.ones(S.nnz))
-    closure = SparseMatrix._from_scipy(S._scipy + S._scipy.T.tocsr())
-    return StrengthGraph(S, replace(closure, values=np.ones(closure.nnz)))
+    del absv, rowmax
+    return StrengthGraph(*_symmetric_pattern(_keep_entries(A, keep)))
 
 
-def _luby_ranks(n, degrees, seed):
-    """Total priority order for the Luby rounds.
-
-    Each node draws a uniform weight keyed by (seed, node position) plus a
-    degree bias ``deg/(deg+1)``; exact weight ties are broken in favour of the
-    lower node index.  Returning dense ranks makes every comparison strict.
-    """
+def _luby_weights(degrees, seed):
+    """Luby priority of each node: a uniform draw keyed by (seed, node
+    position) plus the degree bias ``deg/(deg+1)``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    weights = rng.random(n) + degrees / (degrees + 1.0)
-    order = np.lexsort((-np.arange(n), weights))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n, dtype=np.int64)
-    return ranks
+    return rng.random(len(degrees)) + degrees / (degrees + 1.0)
 
 
 def pmisr(graph, seed, max_luby_loops=None):
-    """Luby-style maximal independent set on the symmetric closure; the
-    independent set becomes the F points, its complement the C points.
+    """Luby-style maximal independent set on the closure pattern ``graph``;
+    the independent set becomes the F points, its complement the C points.
 
-    A node joins F when its priority beats every undecided neighbour; its
-    undecided neighbours then become C.  With ``max_luby_loops=None`` the
-    rounds run until every node is decided (F is then maximal); otherwise any
-    node still undecided after the cap becomes C.
+    Each round runs on the edges with two undecided ends.  A node is beaten
+    by a neighbour of higher weight, or of equal weight and lower index; an
+    unbeaten node joins F, its neighbours become C, and edges with a decided
+    end are dropped.  With ``max_luby_loops=None`` the rounds run until all
+    nodes are decided (F is then maximal); nodes undecided after a cap are C.
     """
-    G = graph.symmetric_closure
-    n = G.nrows
-    offsets, cols = G.row_offsets, G.col_indices
-    row_of = _row_index(G)
-    degrees = np.diff(offsets).astype(np.float64)
-    ranks = _luby_ranks(n, degrees, seed)
+    n, degrees = graph.n, np.diff(graph.row_offsets)
+    weights = _luby_weights(degrees.astype(np.float64), seed)
+    # Each undirected edge once, as (lo, hi) with lo < hi: lo beats hi
+    # exactly when w_lo >= w_hi.
+    lo = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    upper = np.flatnonzero(graph.col_indices > lo)
+    lo, hi = lo[upper], graph.col_indices[upper]
     state = np.full(n, _UNDECIDED, dtype=np.int8)
-    loops = 0
-    while True:
-        undecided = state == _UNDECIDED
-        if not undecided.any():
-            break
-        if max_luby_loops is not None and loops >= max_luby_loops:
-            state[undecided] = _COARSE
-            break
-        contender = np.where(undecided[cols], ranks[cols], -1)
-        best = _segment_max(contender, offsets, n, empty=-1.0)
-        new_f = undecided & (ranks > best)
-        state[new_f] = _FINE
-        blocked = cols[new_f[row_of]]
-        state[blocked[state[blocked] == _UNDECIDED]] = _COARSE
-        loops += 1
+    cap, rounds = max_luby_loops, 0
+    while (cap is None or rounds < cap) and np.any(state == _UNDECIDED):
+        beaten = state != _UNDECIDED
+        beaten[np.where(weights[lo] >= weights[hi], hi, lo)] = True
+        state[np.flatnonzero(~beaten)] = _FINE
+        state[hi[np.flatnonzero(state[lo] == _FINE)]] = _COARSE
+        state[lo[np.flatnonzero(state[hi] == _FINE)]] = _COARSE
+        live = np.flatnonzero((state[lo] == _UNDECIDED)
+                              & (state[hi] == _UNDECIDED))
+        lo, hi = lo[live], hi[live]
+        rounds += 1
     labels = np.where(state == _FINE, F_POINT, C_POINT).astype(np.int8)
     return CFSplit.from_labels(labels)
 
 
-def _dominance_ratios(A, split):
+def _dominance_ratios(A, split, row_of=None):
     """Row dominance ratios of the fine-fine block of ``A`` under ``split``
     (off-diagonal absolute sum over absolute diagonal, in ``f_set`` order).
     The block is read through the labels; entries outside it add ``+0.0``,
     so the sums equal those over the extracted block bit for bit."""
-    row_of = _row_index(A)
+    row_of = _row_index(A) if row_of is None else row_of
     is_diag = A.col_indices == row_of
+    at = np.flatnonzero(is_diag)
     diag = np.zeros(A.nrows)
-    diag[row_of[is_diag]] = A.values[is_diag]
+    diag[row_of[at]] = A.values[at]
     diag = diag[split.f_set]
     if np.any(diag == 0):
         bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
@@ -176,7 +166,7 @@ def _dominance_ratios(A, split):
     return offsum[split.f_set] / np.abs(diag)
 
 
-def ddc_pass(A, split, fraction, nbins=1000):
+def ddc_pass(A, split, fraction, nbins=1000, row_of=None):
     """One diagonal-dominance cleanup pass: bin the fine-row dominance ratios
     into ``nbins`` equal-width bins and convert to C every fine point above
     the bin boundary whose exceedance count is closest to ``fraction``
@@ -187,7 +177,7 @@ def ddc_pass(A, split, fraction, nbins=1000):
         raise ValueError('nbins must be positive')
     if A.nrows != A.ncols:
         raise ValueError('diagonal-dominance cleanup requires a square matrix')
-    ratios = _dominance_ratios(A, split)
+    ratios = _dominance_ratios(A, split, row_of)
     n_f = len(ratios)
     target = fraction * n_f
     lo, hi = float(ratios.min()), float(ratios.max())
@@ -214,9 +204,9 @@ def ddc_pass(A, split, fraction, nbins=1000):
 
 
 def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
-             max_luby_loops=None):
+             max_luby_loops=None, row_of=None):
     """Full two-pass splitting: independent-set selection followed by
-    ``ddc_its`` dominance-cleanup passes.
+    ``ddc_its`` dominance-cleanup passes, all reading one ``row_of``.
 
     Returns
     -------
@@ -224,12 +214,13 @@ def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
     stats : list of DDCPassStats
         Ratio diagnostics from each cleanup pass.
     """
-    graph = strength_graph(A, theta)
-    split = pmisr(graph, seed, max_luby_loops=max_luby_loops)
+    row_of = _row_index(A) if row_of is None else row_of
+    split = pmisr(strength_graph(A, theta, row_of), seed,
+                  max_luby_loops=max_luby_loops)
     stats = []
     for _ in range(ddc_its):
         if split.n_f == 0:
             break
-        split, pass_stats = ddc_pass(A, split, ddc_fraction, nbins)
+        split, pass_stats = ddc_pass(A, split, ddc_fraction, nbins, row_of)
         stats.append(pass_stats)
     return split, stats

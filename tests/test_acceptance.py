@@ -22,6 +22,7 @@ from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
                    F_POINT, C_POINT, CFSplit)
 from airmg.hierarchy import _repair_split
 from airmg.polynomial import _random_unit_vector
+from airmg.sparse import _row_index
 from airmg.splitting import _dominance_ratios
 
 PI4 = (np.cos(np.pi / 4), np.sin(np.pi / 4))
@@ -164,7 +165,7 @@ def test_criterion_04_ideal_restriction_property():
         assert A.nrows <= 200
         split, _ = cf_split(A, theta=0.0, ddc_fraction=0.01, ddc_its=2,
                             seed=0)
-        split = _repair_split(A, split)
+        split = _repair_split(A, split, _row_index(A))
         A_ff = extract(A, split.f_set, split.f_set)
         assert A_ff.nnz == A_ff.nrows  # diagonal fine block
         cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
@@ -276,7 +277,8 @@ def test_criterion_09_invariant_suites():
         from airmg import strength_graph, pmisr
         G = strength_graph(A, 0.5)
         split = pmisr(G, seed=3)
-        closure = G.symmetric_closure.to_dense()
+        closure = SparseMatrix(G.n, G.n, G.row_offsets, G.col_indices,
+                               np.ones(len(G.col_indices))).to_dense()
         f = split.f_set
         for i in f:
             neighbours = np.flatnonzero(closure[i])

@@ -13,6 +13,7 @@ from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
                    read_matrix_market, richardson_solve, setup, spgemm,
                    spgemm_fixed_sparsity, spmv, transpose, validate,
                    write_matrix_market)
+from airmg import sparse
 from airmg.sparse import _spgemm_numeric
 
 
@@ -420,3 +421,29 @@ def test_matrix_market_rejects_other_formats(tmp_path):
     path.write_text('%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n')
     with pytest.raises(ValueError):
         read_matrix_market(path)
+
+
+def test_drop_and_lump_skips_rows_with_one_entry(monkeypatch):
+    # A lone entry is its own row maximum: with rel_tol <= 1 the block comes
+    # back as the same object, without building a row index.
+    Z = SparseMatrix.csr(4, 5, [0, 1, 1, 2, 3], [4, 1, 3],
+                         [1e-9, -3.0, 0.0])
+    square = SparseMatrix.csr(3, 3, [0, 1, 2, 3], [2, 1, 0], [5.0, -1e-12, 2.0])
+
+    def refuse(A):
+        raise AssertionError('row index built')
+
+    monkeypatch.setattr(sparse, '_row_index', refuse)
+    for rel_tol in (1e-2, 1.0):
+        assert drop_and_lump(Z, rel_tol, lump=False,
+                             keep_diagonal=False) is Z
+        assert drop_and_lump(Z, rel_tol, lump=False) is Z
+        assert drop_and_lump(square, rel_tol, lump=True) is square
+    monkeypatch.undo()
+    # rel_tol > 1 puts every nonzero lone entry below its threshold.
+    out = drop_and_lump(Z, 1.5, lump=False, keep_diagonal=False)
+    assert np.array_equal(out.row_offsets, [0, 0, 0, 0, 1])
+    assert np.array_equal(out.col_indices, [3])
+    assert np.array_equal(out.values, [0.0])
+    kept = drop_and_lump(square, 1.5, lump=False)
+    assert np.array_equal(kept.col_indices, [1])

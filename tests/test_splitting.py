@@ -6,11 +6,78 @@ import pytest
 from airmg import (AdvectionProblem, C_POINT, CFSplit, F_POINT, SparseMatrix,
                    build_advection_1d, build_advection_2d, cf_split, ddc_pass,
                    pmisr, strength_graph)
+from airmg import splitting
+from airmg.sparse import _row_index
 from airmg.splitting import _dominance_ratios
 
 
 def all_fine(n):
     return CFSplit.from_labels(np.full(n, F_POINT, dtype=np.int8))
+
+
+def closure_dense(G):
+    """Dense 0/1 adjacency of a strength graph's closure pattern."""
+    return SparseMatrix(G.n, G.n, G.row_offsets, G.col_indices,
+                        np.ones(len(G.col_indices))).to_dense()
+
+
+def neighbours(G, i):
+    return G.col_indices[G.row_offsets[i]:G.row_offsets[i + 1]]
+
+
+def reference_closure(A, theta):
+    """Dense oracle for the strength closure: ``S | S^T`` with ``S`` from the
+    row-relative threshold on the nonzero off-diagonals."""
+    absd = np.abs(A.to_dense())
+    np.fill_diagonal(absd, 0.0)
+    S = (absd > 0) & (absd >= theta * absd.max(axis=1, initial=0.0)[:, None])
+    return S | S.T
+
+
+def reference_pmisr(graph, seed, max_luby_loops=None, weights=None):
+    """The sort-based PMISR that the edge-list form replaced, kept as its
+    reference: the weights become dense ranks through ``np.lexsort`` (exact
+    ties to the lower index) and every round sweeps the whole closure.
+    ``weights`` defaults to the draw that rank computation made."""
+    n, offsets, cols = graph.n, graph.row_offsets, graph.col_indices
+    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    if weights is None:
+        degrees = np.diff(offsets).astype(np.float64)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        weights = rng.random(n) + degrees / (degrees + 1.0)
+    order = np.lexsort((-np.arange(n), weights))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n, dtype=np.int64)
+    undecided_, fine, coarse = 0, 1, 2
+    state = np.full(n, undecided_, dtype=np.int8)
+    loops = 0
+    while True:
+        undecided = state == undecided_
+        if not undecided.any():
+            break
+        if max_luby_loops is not None and loops >= max_luby_loops:
+            state[undecided] = coarse
+            break
+        contender = np.where(undecided[cols], ranks[cols], -1)
+        best = np.full(n, -1.0)
+        np.maximum.at(best, row_of, contender)
+        new_f = undecided & (ranks > best)
+        state[new_f] = fine
+        blocked = cols[new_f[row_of]]
+        state[blocked[state[blocked] == undecided_]] = coarse
+        loops += 1
+    return np.where(state == fine, F_POINT, C_POINT).astype(np.int8)
+
+
+def random_matrix(rng, n, density):
+    """Nonsymmetric test matrix with tied magnitudes, explicit zeros, empty
+    rows and some missing diagonals."""
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, rng.random(n) < 0.8)
+    mask[rng.random(n) < 0.15] = False
+    vals = np.round(rng.uniform(-1, 1, (n, n)), 1)
+    rows, cols = np.nonzero(mask)
+    return SparseMatrix.from_coo(n, n, rows, cols, vals[rows, cols])
 
 
 def check_independent_and_maximal(closure_dense, labels, require_maximal=True):
@@ -31,8 +98,9 @@ def check_independent_and_maximal(closure_dense, labels, require_maximal=True):
 def test_strength_diagonal_matrix_empty_graph():
     A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
     G = strength_graph(A, 0.5)
-    assert G.S.nnz == 0
-    assert G.symmetric_closure.nnz == 0
+    assert G.n == 3
+    assert len(G.col_indices) == 0
+    assert np.array_equal(G.row_offsets, [0, 0, 0, 0])
 
 
 def test_strength_equal_offdiagonals_tie_at_max():
@@ -41,8 +109,7 @@ def test_strength_equal_offdiagonals_tie_at_max():
                                  [-v, 2 * v, -v],
                                  [0.0, 0.0, 2 * v]])
     G = strength_graph(A, 0.99)
-    cols, _ = G.S.row(1)
-    assert list(cols) == [0, 2]
+    assert list(neighbours(G, 1)) == [0, 2]
 
 
 def test_strength_threshold_selects_dominant_direction():
@@ -51,18 +118,16 @@ def test_strength_threshold_selects_dominant_direction():
                                  [-vx, vx + vy, -vy],
                                  [0.0, 0.0, vx + vy]])
     strong = strength_graph(A, 0.99)
-    cols, _ = strong.S.row(1)
-    assert list(cols) == [0]
+    assert list(neighbours(strong, 1)) == [0]
     both = strength_graph(A, 0.4)
-    cols, _ = both.S.row(1)
-    assert list(cols) == [0, 2]
+    assert list(neighbours(both, 1)) == [0, 2]
 
 
 def test_strength_theta_zero_keeps_all_nonzeros_only():
     A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 1],
                               [1.0, 0.0, 1.0])  # explicit zero off-diagonal
     G = strength_graph(A, 0.0)
-    assert G.S.nnz == 0
+    assert len(G.col_indices) == 0
 
 
 def test_strength_theta_validation():
@@ -76,10 +141,27 @@ def test_strength_theta_validation():
 def test_strength_closure_is_symmetric():
     A = build_advection_1d(6, 1.0)
     G = strength_graph(A, 0.5)
-    closure = G.symmetric_closure.to_dense()
+    closure = closure_dense(G)
     assert np.array_equal(closure, closure.T)
-    assert G.S.nnz == 5  # directed chain
-    assert G.symmetric_closure.nnz == 10
+    # the directed chain's five links, each stored in both directions
+    path = np.eye(6, k=1) + np.eye(6, k=-1)
+    assert np.array_equal(closure, path)
+    assert len(G.col_indices) == 10
+
+
+def test_strength_closure_matches_dense_oracle():
+    rng = np.random.default_rng(31)
+    for n in (1, 5, 17, 40):
+        for theta in (0.0, 0.25, 0.5, 0.99, 1.0):
+            A = random_matrix(rng, n, 0.2)
+            G = strength_graph(A, theta)
+            assert np.array_equal(closure_dense(G) != 0,
+                                  reference_closure(A, theta))
+            for i in range(n):
+                assert np.all(np.diff(neighbours(G, i)) > 0)
+            shared = strength_graph(A, theta, row_of=_row_index(A))
+            assert np.array_equal(shared.row_offsets, G.row_offsets)
+            assert np.array_equal(shared.col_indices, G.col_indices)
 
 
 def test_pmisr_empty_graph_all_fine():
@@ -95,7 +177,7 @@ def test_pmisr_path_graph_maximal_independent():
     for seed in range(8):
         G = strength_graph(A, 0.5)
         split = pmisr(G, seed)
-        check_independent_and_maximal(G.symmetric_closure.to_dense(),
+        check_independent_and_maximal(closure_dense(G),
                                       split.labels)
         f = set(split.f_set.tolist())
         assert f in ({0, 2}, {1})
@@ -106,7 +188,7 @@ def test_pmisr_chain_independent_and_large_enough():
     A = build_advection_1d(n, 1.0)
     G = strength_graph(A, 0.5)
     split = pmisr(G, seed=4)
-    check_independent_and_maximal(G.symmetric_closure.to_dense(), split.labels)
+    check_independent_and_maximal(closure_dense(G), split.labels)
     assert split.n_f >= int(np.ceil(n / 3))
 
 
@@ -119,7 +201,7 @@ def test_pmisr_random_matrices_independent():
         A = SparseMatrix.from_dense(dense)
         G = strength_graph(A, 0.25)
         split = pmisr(G, seed=trial)
-        check_independent_and_maximal(G.symmetric_closure.to_dense(),
+        check_independent_and_maximal(closure_dense(G),
                                       split.labels)
 
 
@@ -129,7 +211,7 @@ def test_pmisr_loop_cap_marks_rest_coarse():
     G = strength_graph(A, 0.5)
     split = pmisr(G, seed=2, max_luby_loops=1)
     # still independent, but maximality may fail; leftovers became C
-    check_independent_and_maximal(G.symmetric_closure.to_dense(),
+    check_independent_and_maximal(closure_dense(G),
                                   split.labels, require_maximal=False)
     full = pmisr(G, seed=2)
     assert split.n_f <= full.n_f
@@ -141,6 +223,65 @@ def test_pmisr_deterministic():
     a = pmisr(G, seed=9)
     b = pmisr(G, seed=9)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize('max_luby_loops', [None, 0, 1, 2])
+def test_pmisr_matches_sort_based_reference(max_luby_loops):
+    rng = np.random.default_rng(41)
+    advection, _ = build_advection_2d(AdvectionProblem(nx=20, ny=20,
+                                                       vx=0.6, vy=0.8))
+    matrices = [random_matrix(rng, n, min(0.5, 4.0 / n))
+                for n in (1, 2, 9, 33, 120)] + [advection]
+    for A in matrices:
+        for theta in (0.0, 0.3, 0.99):
+            G = strength_graph(A, theta)
+            for seed in range(3):
+                split = pmisr(G, seed, max_luby_loops=max_luby_loops)
+                assert np.array_equal(
+                    split.labels, reference_pmisr(G, seed, max_luby_loops))
+
+
+def test_pmisr_equal_weights_go_to_lower_index(monkeypatch):
+    monkeypatch.setattr(splitting, '_luby_weights',
+                        lambda degrees, seed: np.ones(len(degrees)))
+    # Path 0-1-...-7 with all weights equal: 0 wins first, then every
+    # second node, so the F points are the even ones (the odd ones if the
+    # higher index won ties).
+    A = build_advection_1d(8, 1.0)
+    split = pmisr(strength_graph(A, 0.5), seed=0)
+    assert list(split.f_set) == [0, 2, 4, 6]
+
+
+def test_pmisr_tied_weights_match_reference(monkeypatch):
+    def rounded(degrees, seed):
+        rng = np.random.default_rng(seed)
+        return np.round(rng.random(len(degrees)), 1) + np.minimum(degrees, 2)
+
+    monkeypatch.setattr(splitting, '_luby_weights', rounded)
+    rng = np.random.default_rng(43)
+    for n in (12, 40, 90):
+        A = random_matrix(rng, n, 5.0 / n)
+        G = strength_graph(A, 0.0)
+        degrees = np.diff(G.row_offsets).astype(np.float64)
+        for seed in range(4):
+            weights = rounded(degrees, seed)
+            assert len(np.unique(weights)) < n
+            assert np.array_equal(pmisr(G, seed).labels,
+                                  reference_pmisr(G, seed, weights=weights))
+
+
+def test_pmisr_does_not_sort(monkeypatch):
+    A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16, vx=0.6, vy=0.8))
+    G = strength_graph(A, 0.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError('pmisr sorted')
+
+    for name in ('lexsort', 'argsort', 'sort'):
+        monkeypatch.setattr(np, name, refuse)
+    split = pmisr(G, seed=5)
+    monkeypatch.undo()
+    assert np.array_equal(split.labels, reference_pmisr(G, 5))
 
 
 def test_dominance_ratio_arithmetic():
