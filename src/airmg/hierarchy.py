@@ -4,8 +4,8 @@ Each level splits the unknowns, approximates the inverse of the fine-fine
 block with a fixed polynomial, builds the approximate ideal restriction
 ``R = [Z I]`` with ``Z = -A_cf * Ahat_ff^-1``, pairs it with a one-point
 prolongator, and forms the Galerkin coarse matrix with drop/lump control.
-Each split block is extracted once, by ``build_restriction``; the splitting
-and its repair read the level matrix through the labels, ``P`` uses ``A_fc``.
+The split comes back repaired for the one-point prolongator; each split
+block is extracted once, by ``build_restriction``, and ``P`` uses ``A_fc``.
 Once a high-order tentative coarse polynomial can solve the current level to
 a loose tolerance the hierarchy is truncated there.  After the coarse matrix
 is formed only ``A_ff``, ``A_fc``, ``R`` and ``P`` are retained per level, as
@@ -21,9 +21,9 @@ import numpy as np
 from .polynomial import (PolySolver, _poly_apply_flops, _random_unit_vector,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
-from .sparse import (SparseMatrix, _row_index, _spgemm_numeric, drop_and_lump,
-                     extract, spmv)
-from .splitting import C_POINT, CFSplit, cf_split
+from .sparse import (SparseMatrix, _row_index, _row_max, _spgemm_numeric,
+                     drop_and_lump, extract, spmv)
+from .splitting import CFSplit, cf_split
 
 __all__ = [
     'SetupConfig',
@@ -273,11 +273,10 @@ def build_prolongation(A_fc, split):
                          'point; the splitting is invalid for a one-point '
                          'prolongator')
     absv = np.abs(A_fc.values)
-    rowmax = np.maximum.reduceat(absv, A_fc.row_offsets[:-1])
     row_of = _row_index(A_fc)
-    pos = np.arange(A_fc.nnz, dtype=np.int64)
-    candidate = np.where(absv == rowmax[row_of], pos, A_fc.nnz)
-    first = np.minimum.reduceat(candidate, A_fc.row_offsets[:-1])
+    at_max = np.flatnonzero(absv == _row_max(absv, row_of, A_fc.nrows)[row_of])
+    first = np.full(A_fc.nrows, A_fc.nnz, dtype=np.int64)
+    np.minimum.at(first, row_of[at_max], at_max)
     cols = np.empty(n, dtype=np.int64)
     cols[f] = A_fc.col_indices[first]
     cols[c] = np.arange(n_c, dtype=np.int64)
@@ -294,26 +293,6 @@ def coarse_matrix(A, R, P, cfg, timings=None):
         coarse = _spgemm_numeric(R, _spgemm_numeric(A, P))
     with _Timer(timings, 'drop'):
         return drop_and_lump(coarse, cfg.a_drop, lump=cfg.lump)
-
-
-def _repair_split(A, split, row_of):
-    """Convert to C any F point whose matrix row has no coupling to a C point.
-
-    Rows without off-diagonal couplings (inflow boundary rows in the upwind
-    problems) can be selected as F but leave the one-point prolongator with
-    no column to pick; their exact ideal interpolation weight is zero, and
-    keeping them on the coarse grid instead is harmless.  A coupling is any
-    stored entry in a C column, explicit zeros included.
-    """
-    coupled = np.zeros(A.nrows, dtype=bool)
-    at_c = np.flatnonzero(split.labels[A.col_indices] == C_POINT)
-    coupled[row_of[at_c]] = True
-    isolated = ~coupled[split.f_set]
-    if not np.any(isolated):
-        return split
-    labels = split.labels.copy()
-    labels[split.f_set[isolated]] = C_POINT
-    return CFSplit.from_labels(labels)
 
 
 def _build_coarse_solver(A, cfg, level):
@@ -409,18 +388,12 @@ def setup(A, cfg):
             truncated_at = level
             break
         with _Timer(timings, 'cf_split'):
-            row_of = _row_index(current)
             split, ddc_stats = cf_split(
                 current, cfg.strong_threshold, cfg.ddc_fraction, cfg.ddc_its,
                 _derive_seed(cfg.seed, level, _SEED_SPLIT),
-                nbins=cfg.ddc_bins, row_of=row_of)
-        if split.n_c == split.n:
-            raise ValueError(f'splitting produced no F points at level {level}')
-        split = _repair_split(current, split, row_of)
-        del row_of
+                nbins=cfg.ddc_bins)
         if split.n_f == 0:
-            # Only isolated fine rows (all rows of a diagonal matrix): no
-            # reduction to perform, solve this level with the polynomial.
+            # The repair made every F point C (a diagonal matrix): solve here.
             _log.info('level %d needs no further reduction; building the '
                       'coarse solver directly', level)
             break

@@ -3,11 +3,12 @@
 The splitting is built for reduction multigrid: the fine points are chosen as
 a maximal independent set of the symmetrised strength graph (so the fine-fine
 block carries no strong couplings), then a diagonal-dominance cleanup pass
-converts the least dominant fine points to coarse points.  The functions
-that read the level matrix take its row index ``row_of`` (the row of each
-stored entry, built when not given), so one build serves the whole split.
+converts the least dominant fine points to coarse points, and a repair
+makes C every F point with no C coupling.  All stages read one view of the
+level matrix, which ``cf_split`` builds once.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,22 @@ class DDCPassStats:
     cut: float
 
 
-def strength_graph(A, theta, row_of=None):
+_LevelView = namedtuple('_LevelView', 'row_of offdiag_abs diag_abs')
+
+
+def _level_view(A):
+    """Row of each stored entry, its magnitude (``+0.0`` on the diagonal)
+    and the absolute diagonal (0 where none is stored)."""
+    row_of = _row_index(A)
+    at = np.flatnonzero(A.col_indices == row_of)
+    offdiag_abs = np.abs(A.values)
+    diag_abs = np.zeros(A.nrows)
+    diag_abs[row_of[at]] = offdiag_abs[at]
+    offdiag_abs[at] = 0.0
+    return _LevelView(row_of, offdiag_abs, diag_abs)
+
+
+def strength_graph(A, theta, view=None):
     """Closure pattern of the strong connections of ``A``: ``j`` is strong
     for row ``i`` iff ``j != i``, ``a_ij`` is nonzero, and
     ``|a_ij| >= theta * max_{k != i} |a_ik|``; the graph holds ``(i, j)``
@@ -96,12 +112,10 @@ def strength_graph(A, theta, row_of=None):
         raise ValueError('strength graph requires a square matrix')
     if not 0.0 <= theta <= 1.0:
         raise ValueError('theta must lie in [0, 1]')
-    row_of = _row_index(A) if row_of is None else row_of
-    absv = np.abs(A.values)
-    absv[np.flatnonzero(A.col_indices == row_of)] = 0.0
-    rowmax = _row_max(absv, row_of, A.nrows)
-    keep = (absv > 0) & (absv >= theta * rowmax[row_of])
-    del absv, rowmax
+    view = _level_view(A) if view is None else view
+    absv, row_of = view.offdiag_abs, view.row_of
+    keep = absv >= theta * _row_max(absv, row_of, A.nrows)[row_of]
+    keep &= absv > 0
     return StrengthGraph(*_symmetric_pattern(_keep_entries(A, keep)))
 
 
@@ -145,28 +159,24 @@ def pmisr(graph, seed, max_luby_loops=None):
     return CFSplit.from_labels(labels)
 
 
-def _dominance_ratios(A, split, row_of=None):
+def _dominance_ratios(A, split, view=None):
     """Row dominance ratios of the fine-fine block of ``A`` under ``split``
     (off-diagonal absolute sum over absolute diagonal, in ``f_set`` order).
     The block is read through the labels; entries outside it add ``+0.0``,
     so the sums equal those over the extracted block bit for bit."""
-    row_of = _row_index(A) if row_of is None else row_of
-    is_diag = A.col_indices == row_of
-    at = np.flatnonzero(is_diag)
-    diag = np.zeros(A.nrows)
-    diag[row_of[at]] = A.values[at]
-    diag = diag[split.f_set]
+    view = _level_view(A) if view is None else view
+    diag = view.diag_abs[split.f_set]
     if np.any(diag == 0):
         bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
         raise ValueError(f'zero diagonal in fine-fine block (fine row {bad}); '
                          'splitting is not usable for reduction')
-    in_block = (split.labels[A.col_indices] == F_POINT) & ~is_diag
-    offdiag = np.where(in_block, np.abs(A.values), 0.0)
-    offsum = np.bincount(row_of, weights=offdiag, minlength=A.nrows)
-    return offsum[split.f_set] / np.abs(diag)
+    offdiag = np.where(split.labels[A.col_indices] == F_POINT,
+                       view.offdiag_abs, 0.0)
+    offsum = np.bincount(view.row_of, weights=offdiag, minlength=A.nrows)
+    return offsum[split.f_set] / diag
 
 
-def ddc_pass(A, split, fraction, nbins=1000, row_of=None):
+def ddc_pass(A, split, fraction, nbins=1000, view=None):
     """One diagonal-dominance cleanup pass: bin the fine-row dominance ratios
     into ``nbins`` equal-width bins and convert to C every fine point above
     the bin boundary whose exceedance count is closest to ``fraction``
@@ -177,7 +187,9 @@ def ddc_pass(A, split, fraction, nbins=1000, row_of=None):
         raise ValueError('nbins must be positive')
     if A.nrows != A.ncols:
         raise ValueError('diagonal-dominance cleanup requires a square matrix')
-    ratios = _dominance_ratios(A, split, row_of)
+    if split.n_f == 0:
+        raise ValueError('split has no F point to clean up')
+    ratios = _dominance_ratios(A, split, view)
     n_f = len(ratios)
     target = fraction * n_f
     lo, hi = float(ratios.min()), float(ratios.max())
@@ -203,24 +215,38 @@ def ddc_pass(A, split, fraction, nbins=1000, row_of=None):
     return CFSplit.from_labels(labels), stats
 
 
-def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
-             max_luby_loops=None, row_of=None):
-    """Full two-pass splitting: independent-set selection followed by
-    ``ddc_its`` dominance-cleanup passes, all reading one ``row_of``.
+def _repair_split(A, split, view):
+    """Make C every F point whose row stores no entry (explicit zeros count)
+    in a C column.  Such rows (inflow boundary rows of the upwind problems)
+    leave the one-point prolongator no column to pick; their ideal
+    interpolation weight is zero, so keeping them coarse is harmless."""
+    coupled = np.zeros(A.nrows, dtype=bool)
+    at_c = np.flatnonzero(split.labels[A.col_indices] == C_POINT)
+    coupled[view.row_of[at_c]] = True
+    isolated = ~coupled[split.f_set]
+    if not np.any(isolated):
+        return split
+    labels = split.labels.copy()
+    labels[split.f_set[isolated]] = C_POINT
+    return CFSplit.from_labels(labels)
 
-    Returns
-    -------
-    split : CFSplit
-    stats : list of DDCPassStats
-        Ratio diagnostics from each cleanup pass.
+
+def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
+             max_luby_loops=None):
+    """Full splitting: independent-set selection, ``ddc_its`` dominance
+    cleanup passes and the repair, all reading one view of ``A``.  Returns
+    ``(split, stats)``, with the ``DDCPassStats`` of each pass in ``stats``.
+
+    The split is ready for the one-point prolongator: every F row stores an
+    entry in a C column, so a diagonal matrix comes back all C.  Raises
+    ``ValueError`` when selection and cleanup leave no F point.
     """
-    row_of = _row_index(A) if row_of is None else row_of
-    split = pmisr(strength_graph(A, theta, row_of), seed,
-                  max_luby_loops=max_luby_loops)
+    view = _level_view(A)
+    split = pmisr(strength_graph(A, theta, view), seed, max_luby_loops)
     stats = []
-    for _ in range(ddc_its):
-        if split.n_f == 0:
-            break
-        split, pass_stats = ddc_pass(A, split, ddc_fraction, nbins, row_of)
+    while split.n_f and len(stats) < ddc_its:
+        split, pass_stats = ddc_pass(A, split, ddc_fraction, nbins, view)
         stats.append(pass_stats)
-    return split, stats
+    if split.n_f == 0:
+        raise ValueError(f'splitting produced no F points ({A.nrows} rows)')
+    return _repair_split(A, split, view), stats

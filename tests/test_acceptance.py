@@ -20,9 +20,7 @@ from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
                    extract, gmres_poly_arnoldi, gmres_poly_newton,
                    hierarchy_summary, richardson_solve, setup, spmv,
                    F_POINT, C_POINT, CFSplit)
-from airmg.hierarchy import _repair_split
 from airmg.polynomial import _random_unit_vector
-from airmg.sparse import _row_index
 from airmg.splitting import _dominance_ratios
 
 PI4 = (np.cos(np.pi / 4), np.sin(np.pi / 4))
@@ -165,7 +163,6 @@ def test_criterion_04_ideal_restriction_property():
         assert A.nrows <= 200
         split, _ = cf_split(A, theta=0.0, ddc_fraction=0.01, ddc_its=2,
                             seed=0)
-        split = _repair_split(A, split, _row_index(A))
         A_ff = extract(A, split.f_set, split.f_set)
         assert A_ff.nnz == A_ff.nrows  # diagonal fine block
         cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)

@@ -14,9 +14,9 @@ from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
                    try_truncate, vcycle, SolveConfig)
 from airmg import hierarchy, sparse, splitting
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
-                             _repair_split, _resolve_truncate_start)
+                             _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
-from airmg.sparse import _row_index
+from airmg.splitting import _level_view, _repair_split
 
 
 def labels_from_sets(n, c_set):
@@ -154,14 +154,14 @@ def test_repair_split_converts_fine_rows_without_coarse_coupling():
     # the only C coupling of row 2 is an explicit zero in column 3.
     A = SparseMatrix.csr(4, 4, [0, 1, 3, 5, 6], [0, 0, 1, 2, 3, 3],
                          [1.0, -0.5, 1.0, 1.0, 0.0, 1.0])
-    repaired = _repair_split(A, labels_from_sets(4, [3]), _row_index(A))
+    repaired = _repair_split(A, labels_from_sets(4, [3]), _level_view(A))
     assert np.array_equal(repaired.labels,
                           [C_POINT, C_POINT, F_POINT, C_POINT])
     P = build_prolongation(extract(A, repaired.f_set, repaired.c_set),
                            repaired)
     assert np.array_equal(P.to_dense()[2], [0.0, 0.0, 1.0])
     all_coarse = labels_from_sets(4, range(4))
-    assert _repair_split(A, all_coarse, _row_index(A)) is all_coarse
+    assert _repair_split(A, all_coarse, _level_view(A)) is all_coarse
 
 
 def test_prolongation_unit_rows_inside_setup():
@@ -192,7 +192,6 @@ def test_coarse_matrix_all_coarse_degenerate():
 def test_coarse_matrix_matches_schur_complement():
     A = build_advection_1d(20, 1.0)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=1)
-    split = _repair_split(A, split, _row_index(A))
     cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
     R, A_ff, A_fc, _, _ = build_restriction(A, split, cfg)
     P = build_prolongation(A_fc, split)
@@ -208,7 +207,6 @@ def test_coarse_matrix_matches_schur_complement():
 def test_coarse_matrix_zero_drop_keeps_everything():
     A = build_advection_1d(16, 1.0)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=2)
-    split = _repair_split(A, split, _row_index(A))
     base = SetupConfig(poly_order=1, a_drop=0.0, lump=False)
     lumped = SetupConfig(poly_order=1, a_drop=0.0, lump=True)
     R, _, A_fc, _, _ = build_restriction(A, split, base)
@@ -521,7 +519,6 @@ def test_setup_products_match_public_spgemm_bitwise(permute):
     for level in range(6):
         split, _ = cf_split(A, cfg.strong_threshold, cfg.ddc_fraction,
                             cfg.ddc_its, seed=level)
-        split = _repair_split(A, split, _row_index(A))
         R, _, A_fc, _, assembled = build_restriction(A, split, cfg,
                                                      level=level)
         P = build_prolongation(A_fc, split)
@@ -574,28 +571,43 @@ def test_setup_extracts_three_blocks_per_level(monkeypatch):
 
 
 def test_setup_builds_one_row_index_per_level(monkeypatch):
-    # The strength graph, both DDC passes and the split repair share one row
-    # index of each level matrix.  ``drop_and_lump`` reads the Galerkin
+    # ``cf_split`` builds one view of each level matrix, and with it the only
+    # row index of that matrix; the strength graph, both DDC passes and the
+    # split repair read the view.  ``drop_and_lump`` reads the Galerkin
     # product before it becomes the next level matrix and is not counted.
-    built = []
+    built = {hierarchy: [], splitting: []}
+    viewed = []
     level_matrices = []
-    row_index, split = sparse._row_index, hierarchy.cf_split
+    row_index, level_view = sparse._row_index, splitting._level_view
+    split = hierarchy.cf_split
 
-    def counting_row_index(A):
-        built.append(A)
-        return row_index(A)
+    def counting_row_index(module):
+        def count(A):
+            built[module].append(A)
+            return row_index(A)
+        return count
+
+    def counting_level_view(A):
+        viewed.append(A)
+        return level_view(A)
 
     def recording_cf_split(A, *args, **kwargs):
         level_matrices.append(A)
         return split(A, *args, **kwargs)
 
+    def per_level(matrices):
+        return [sum(B is M for B in matrices) for M in level_matrices]
+
     A, _ = build_advection_2d(AdvectionProblem(nx=64, ny=64,
                                                vx=np.cos(np.pi / 4),
                                                vy=np.sin(np.pi / 4)))
-    for module in (hierarchy, splitting):
-        monkeypatch.setattr(module, '_row_index', counting_row_index)
+    for module in built:
+        monkeypatch.setattr(module, '_row_index', counting_row_index(module))
+    monkeypatch.setattr(splitting, '_level_view', counting_level_view)
     monkeypatch.setattr(hierarchy, 'cf_split', recording_cf_split)
     H = setup(A, SetupConfig())
     assert len(level_matrices) == H.num_levels > 0
-    assert [sum(B is M for B in built) for M in level_matrices] \
-        == [1] * H.num_levels
+    assert per_level(built[splitting]) == [1] * H.num_levels
+    assert per_level(viewed) == [1] * H.num_levels
+    assert per_level(built[hierarchy]) == [0] * H.num_levels
+    assert not hasattr(hierarchy, '_repair_split')

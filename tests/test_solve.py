@@ -8,8 +8,6 @@ from airmg import (AdvectionProblem, DivergenceError, SetupConfig,
                    build_advection_2d, build_prolongation, build_restriction,
                    cf_split, coarse_matrix, count_cycle_flops, extract,
                    richardson_solve, setup, spmv, vcycle)
-from airmg.hierarchy import _repair_split
-from airmg.sparse import _row_index
 
 
 def forward_substitution(A, b):
@@ -50,7 +48,6 @@ def test_two_level_ideal_restriction_zeroes_coarse_error():
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, _ = build_advection_2d(AdvectionProblem(nx=14, ny=14, vx=vx, vy=vy))
     split, _ = cf_split(A, theta=0.0, ddc_fraction=0.01, ddc_its=2, seed=0)
-    split = _repair_split(A, split, _row_index(A))
     A_ff = extract(A, split.f_set, split.f_set)
     assert A_ff.nnz == A_ff.nrows
     cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)

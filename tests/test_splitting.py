@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from airmg import (AdvectionProblem, C_POINT, CFSplit, F_POINT, SparseMatrix,
-                   build_advection_1d, build_advection_2d, cf_split, ddc_pass,
-                   pmisr, strength_graph)
+                   build_advection_1d, build_advection_2d, build_prolongation,
+                   cf_split, ddc_pass, extract, pmisr, strength_graph)
 from airmg import splitting
+from airmg.hierarchy import _SEED_SPLIT, _derive_seed
 from airmg.sparse import _row_index
-from airmg.splitting import _dominance_ratios
+from airmg.splitting import _dominance_ratios, _level_view
 
 
 def all_fine(n):
@@ -69,6 +70,26 @@ def reference_pmisr(graph, seed, max_luby_loops=None, weights=None):
     return np.where(state == fine, F_POINT, C_POINT).astype(np.int8)
 
 
+def reference_dominance_ratios(A, split):
+    """The per-pass ``_dominance_ratios`` that the shared level view
+    replaced, kept as its reference: the diagonal, the diagonal mask and
+    ``|a_ij|`` are rebuilt from ``A`` on every call."""
+    row_of = _row_index(A)
+    is_diag = A.col_indices == row_of
+    at = np.flatnonzero(is_diag)
+    diag = np.zeros(A.nrows)
+    diag[row_of[at]] = A.values[at]
+    diag = diag[split.f_set]
+    if np.any(diag == 0):
+        bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
+        raise ValueError(f'zero diagonal in fine-fine block (fine row {bad}); '
+                         'splitting is not usable for reduction')
+    in_block = (split.labels[A.col_indices] == F_POINT) & ~is_diag
+    offdiag = np.where(in_block, np.abs(A.values), 0.0)
+    offsum = np.bincount(row_of, weights=offdiag, minlength=A.nrows)
+    return offsum[split.f_set] / np.abs(diag)
+
+
 def random_matrix(rng, n, density):
     """Nonsymmetric test matrix with tied magnitudes, explicit zeros, empty
     rows and some missing diagonals."""
@@ -78,6 +99,21 @@ def random_matrix(rng, n, density):
     vals = np.round(rng.uniform(-1, 1, (n, n)), 1)
     rows, cols = np.nonzero(mask)
     return SparseMatrix.from_coo(n, n, rows, cols, vals[rows, cols])
+
+
+def with_signed_zeros(rng, A):
+    """``A`` with about a tenth of its stored values set to ``-0.0``."""
+    values = A.values.copy()
+    values[rng.random(A.nnz) < 0.1] = -0.0
+    return SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                        values)
+
+
+def permuted(A, seed):
+    """``Q A Q^T`` for a random permutation ``Q``."""
+    inv = np.argsort(np.random.default_rng(seed).permutation(A.nrows))
+    return SparseMatrix.from_coo(A.nrows, A.ncols, inv[_row_index(A)],
+                                 inv[A.col_indices], A.values)
 
 
 def check_independent_and_maximal(closure_dense, labels, require_maximal=True):
@@ -159,7 +195,7 @@ def test_strength_closure_matches_dense_oracle():
                                   reference_closure(A, theta))
             for i in range(n):
                 assert np.all(np.diff(neighbours(G, i)) > 0)
-            shared = strength_graph(A, theta, row_of=_row_index(A))
+            shared = strength_graph(A, theta, view=_level_view(A))
             assert np.array_equal(shared.row_offsets, G.row_offsets)
             assert np.array_equal(shared.col_indices, G.col_indices)
 
@@ -293,10 +329,47 @@ def test_dominance_ratio_arithmetic():
     assert rho[1] == 0.0 and rho[2] == 0.0
 
 
+def test_dominance_ratios_match_reference_bitwise():
+    # Explicit and signed zeros, empty rows and C rows without a diagonal;
+    # F rows need a nonzero diagonal, so rows without one are made C.
+    rng = np.random.default_rng(61)
+    for n in (1, 6, 25, 80):
+        for _ in range(3):
+            A = with_signed_zeros(rng, random_matrix(rng, n, 0.2))
+            view = _level_view(A)
+            usable = view.diag_abs != 0
+            for f_share in (0.2, 0.6, 1.0):
+                labels = np.where(usable & (rng.random(n) < f_share),
+                                  F_POINT, C_POINT).astype(np.int8)
+                split = CFSplit.from_labels(labels)
+                want = reference_dominance_ratios(A, split).view(np.uint64)
+                for got in (_dominance_ratios(A, split),
+                            _dominance_ratios(A, split, view)):
+                    assert np.array_equal(got.view(np.uint64), want)
+
+
 def test_ddc_zero_diagonal_error():
     A = SparseMatrix.from_dense([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         ddc_pass(A, all_fine(2), 0.25)
+    # Row 1 stores no diagonal, row 2 an explicit -0.0 one.
+    B = SparseMatrix.csr(3, 3, [0, 2, 3, 5], [0, 1, 0, 0, 2],
+                         [1.0, 0.5, 1.0, 0.5, -0.0])
+    for split in (all_fine(3), CFSplit.from_labels(np.array(
+            [F_POINT, C_POINT, F_POINT], dtype=np.int8))):
+        with pytest.raises(ValueError) as want:
+            reference_dominance_ratios(B, split)
+        with pytest.raises(ValueError) as got:
+            _dominance_ratios(B, split)
+        assert str(got.value) == str(want.value)
+        assert 'zero diagonal in fine-fine block' in str(got.value)
+
+
+def test_ddc_pass_rejects_split_without_f_points():
+    A = SparseMatrix.from_dense([[2.0, -1.0], [0.0, 1.0]])
+    all_coarse = CFSplit.from_labels(np.full(2, C_POINT, dtype=np.int8))
+    with pytest.raises(ValueError, match='split has no F point'):
+        ddc_pass(A, all_coarse, 0.25)
 
 
 def test_ddc_diagonal_block_converts_nothing():
@@ -352,11 +425,59 @@ def test_ddc_max_ratio_non_increasing():
 
 
 def test_cf_split_diagonal_matrix():
+    # Every point is selected F and no cleanup pass converts one, but no F
+    # row couples to a C point, so the repair makes them all C.
     A = SparseMatrix.from_dense(np.diag(np.arange(1.0, 9.0)))
     split, stats = cf_split(A, theta=0.99, ddc_fraction=0.01, ddc_its=2,
                             seed=0)
-    assert np.all(split.labels == F_POINT)
+    assert np.all(split.labels == C_POINT)
     assert all(s.converted == 0 for s in stats)
+
+
+def check_every_f_row_couples_to_c(A, split):
+    """Every F row stores an entry (explicit zeros count) in a C column, so
+    the one-point prolongator has a column to pick."""
+    stored = np.zeros((A.nrows, A.ncols), dtype=bool)
+    stored[_row_index(A), A.col_indices] = True
+    assert np.all(stored[np.ix_(split.f_set, split.c_set)].any(axis=1))
+    build_prolongation(extract(A, split.f_set, split.c_set), split)
+
+
+def test_cf_split_returns_split_ready_for_prolongation():
+    rng = np.random.default_rng(71)
+    matrices = []
+    for n in (8, 30, 90):
+        # A diagonal of at least 1 on every row keeps the cleanup passes
+        # defined.
+        A = random_matrix(rng, n, 3.0 / n)
+        matrices.append(SparseMatrix.from_coo(
+            n, n, np.concatenate([_row_index(A), np.arange(n)]),
+            np.concatenate([A.col_indices, np.arange(n)]),
+            np.concatenate([A.values, rng.uniform(2.0, 3.0, n)])))
+    advection, _ = build_advection_2d(AdvectionProblem(
+        nx=20, ny=20, vx=np.cos(np.pi / 4), vy=np.sin(np.pi / 4)))
+    matrices += [advection, permuted(advection, 3)]
+    repaired = 0
+    for A in matrices:
+        for theta in (0.0, 0.5, 0.99):
+            for ddc_its in (0, 2):
+                split, _ = cf_split(A, theta, 0.05, ddc_its, seed=4)
+                check_every_f_row_couples_to_c(A, split)
+                if ddc_its == 0:
+                    selected = pmisr(strength_graph(A, theta), seed=4)
+                    repaired += split.n_c > selected.n_c
+    assert repaired > 0  # some F rows were isolated before the repair
+
+
+def test_cf_split_raises_when_cleanup_leaves_no_f_points():
+    # The matrix and configuration of ``setup``'s stagnation test.
+    A = SparseMatrix.from_dense([[1.0, -1.0, 0.0, 0.0],
+                                 [-1.0, 1.0, 0.0, 0.0],
+                                 [0.0, 0.0, 1.0, -1.0],
+                                 [0.0, 0.0, -1.0, 1.0]])
+    with pytest.raises(ValueError, match='no F points'):
+        cf_split(A, theta=0.5, ddc_fraction=0.9, ddc_its=1,
+                 seed=_derive_seed(0, 0, _SEED_SPLIT))
 
 
 def test_cf_split_produces_dominant_fine_block():
