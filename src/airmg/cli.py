@@ -23,7 +23,7 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'emit_report', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Flag-to-field mapping, kept exhaustive over the config dataclasses (tested
 # by reflection).  Boolean fields use paired --flag/--no-flag options.

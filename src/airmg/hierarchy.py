@@ -503,6 +503,9 @@ def hierarchy_summary(H):
             'solver_kind': H.coarse_solver.kind,
             'solver_order': int(H.coarse_solver.order),
             'solver_effective_order': int(H.coarse_solver.effective_order),
+            'solver_roots':
+                None if H.coarse_solver.roots is None
+                else len(H.coarse_solver.roots),
         },
         'truncated_at': H.truncated_at,
         'cycle_complexity': H.cycle_complexity,

@@ -120,7 +120,26 @@ def _gmres_lsq(H, k, beta):
 
 
 def _residual_history(H, k, beta):
-    return tuple(float(_gmres_lsq(H, j, beta)[1]) for j in range(1, k + 1))
+    """GMRES residual norms after steps ``1..k`` from one Givens sweep.
+
+    The rotation at step ``j`` zeroes ``H[j+1, j]`` in the Hessenberg block
+    already rotated by the earlier steps, and the residual is
+    ``beta * prod |s_i|``, the magnitude of the rotated right-hand side's
+    entry ``j+1`` (Saad & Schultz 1986).  Only the current row of the
+    triangular factor is carried.  A column that is zero in both rotated
+    rows (singular on the Krylov space) leaves the residual unchanged.
+    """
+    history = []
+    res = beta
+    row = H[0, :k]
+    for j in range(k):
+        a, b = row[0], H[j + 1, j]
+        r = math.hypot(a, b)
+        c, s = (a / r, b / r) if r > 0 else (0.0, 1.0)
+        res *= abs(s)
+        history.append(float(res))
+        row = c * H[j + 1, j + 1:k] - s * row[1:]
+    return tuple(history)
 
 
 def gmres_poly_arnoldi(A, order, seed):
@@ -200,58 +219,99 @@ def _harmonic_ritz(H, k):
 
 
 def _group_conjugate_units(roots):
-    """Group roots into units: single real roots and conjugate pairs."""
-    real = [complex(r) for r in roots[roots.imag == 0]]
+    """Group roots into units: single real roots, then conjugate pairs.
+
+    Returns ``(lead, paired)``: each unit's first root (a real root, or the
+    upper-half-plane member of a pair) and whether its conjugate follows it.
+    """
+    real = roots[roots.imag == 0].astype(np.complex128)
     upper = np.sort_complex(roots[roots.imag > 0])
     if len(upper) != np.count_nonzero(roots.imag < 0):
         raise ValueError('complex roots of a real matrix must come in '
                          'conjugate pairs')
-    units = [(r,) for r in real]
-    units += [(t, np.conj(t)) for t in upper]
-    return units
+    lead = np.concatenate((real, upper))
+    paired = np.arange(len(lead)) >= len(real)
+    return lead, paired
 
 
-def _leja_order(units):
+def _unit_members(lead, paired):
+    """Roots of the units in order, a conjugate right after its lead root,
+    and the unit each root belongs to."""
+    both = np.stack((lead, np.conj(lead)), axis=1)
+    present = np.stack((np.ones(len(lead), dtype=bool), paired), axis=1)
+    return both[present], np.nonzero(present)[0]
+
+
+def _log_distances(roots):
+    """``log(max(|r_a - r_b|, 1e-300))`` for every pair of roots.
+
+    The modulus is ``hypot`` and the logarithm the C library's, as for
+    Python complex scalars: numpy's vectorised ``abs`` of complex numbers
+    and ``log`` differ from those in the last bit on some inputs.  The table
+    is symmetric, so only the upper triangle is evaluated.
+    """
+    n = len(roots)
+    upper = np.triu_indices(n, 1)
+    diff = roots[upper[0]] - roots[upper[1]]
+    dist = np.maximum(np.hypot(diff.real, diff.imag), 1e-300)
+    logs = np.fromiter(map(math.log, dist.tolist()), np.float64, len(dist))
+    out = np.full((n, n), math.log(1e-300))
+    out[upper] = logs
+    out.T[upper] = logs
+    return out
+
+
+def _leja_order(lead, paired):
     """Order units so successive factor products stay balanced.
 
-    Start from the unit of largest modulus, then repeatedly append the unit
-    maximising the summed log-distance to everything already placed (log
-    arithmetic avoids overflow in the products of factors).
+    Start from the unit of largest modulus (ties keep the given order), then
+    repeatedly append the unit maximising the summed log-distance to every
+    root already placed (log arithmetic avoids overflow in the products of
+    factors); ties go to the earliest remaining unit.  A unit's score is a
+    left-to-right fold: its first root against each placed root in placement
+    order, then its conjugate the same way (``+0.0`` terms for a real unit).
+    Each step folds that ``(remaining, 2 * placed)`` array with
+    ``np.add.accumulate``, so the order does not depend on the summation
+    algorithm of the interpreter.  Returns the unit order as indices.
     """
-    remaining = list(units)
-    remaining.sort(key=lambda u: max(abs(t) for t in u), reverse=True)
-    ordered = [remaining.pop(0)]
-    placed = list(ordered[0])
-    while remaining:
-        scores = []
-        for u in remaining:
-            s = sum(math.log(max(abs(t - p), 1e-300))
-                    for t in u for p in placed)
-            scores.append(s)
-        best = int(np.argmax(scores))
-        unit = remaining.pop(best)
-        ordered.append(unit)
-        placed.extend(unit)
-    return ordered
-
-
-def _with_added_roots(units, rel_tol):
-    """Duplicate units clustered (relative gap below ``rel_tol``) with an
-    earlier root; the extra copy damps the factored application."""
-    out = []
+    roots, _ = _unit_members(lead, paired)
+    # Rows of each unit's first root and of its conjugate in ``logd``; a
+    # real unit's conjugate row is the trailing row of zeros.
+    first = np.cumsum(1 + paired) - (1 + paired)
+    rows = np.stack((first, np.where(paired, first + 1, len(roots))), axis=1)
+    logd = np.vstack((_log_distances(roots), np.zeros(len(roots))))
+    modulus = np.hypot(lead.real, lead.imag)
+    remaining = np.argsort(-modulus, kind='stable')
+    best = 0
+    order = []
     placed = []
-    for unit in units:
-        copies = 1
-        if rel_tol > 0:
-            for t in unit:
-                if any(abs(t - p) < rel_tol * max(abs(t), abs(p))
-                       for p in placed):
-                    copies = 2
-                    break
-        for _ in range(copies):
-            out.extend(unit)
-        placed.extend(unit)
-    return np.array(out, dtype=np.complex128)
+    while len(remaining):
+        unit = remaining[best]
+        remaining = np.delete(remaining, best)
+        order.append(unit)
+        placed.extend(rows[unit, :1 + paired[unit]])
+        if len(remaining):
+            terms = logd[rows[remaining][:, :, None], np.array(placed)]
+            scores = np.add.accumulate(terms.reshape(len(remaining), -1),
+                                       axis=1)[:, -1]
+            best = int(np.argmax(scores))
+    return np.array(order, dtype=np.intp)
+
+
+def _with_added_roots(lead, paired, rel_tol):
+    """Roots of the units in order, with a second copy of every unit that
+    has a root clustered (relative gap below ``rel_tol``) with a root of an
+    earlier unit; the extra copy damps the factored application."""
+    roots, unit = _unit_members(lead, paired)
+    diff = roots[:, None] - roots[None, :]
+    modulus = np.hypot(roots.real, roots.imag)
+    close = (np.hypot(diff.real, diff.imag)
+             < rel_tol * np.maximum(modulus[:, None], modulus[None, :]))
+    close &= unit[None, :] < unit[:, None]
+    copies = np.ones(len(lead), dtype=np.intp)
+    copies[unit[close.any(axis=1)]] = 2
+    blocks = np.repeat(np.arange(len(lead)), copies)
+    return _unit_members(lead[blocks], paired[blocks])[0]
 
 
 def gmres_poly_newton(A, order, seed, added_root_tol=1e-4):
@@ -272,8 +332,9 @@ def gmres_poly_newton(A, order, seed, added_root_tol=1e-4):
     if np.any(np.abs(theta) == 0):
         raise ValueError('zero harmonic Ritz value; residual polynomial '
                          'is degenerate')
-    units = _leja_order(_group_conjugate_units(theta))
-    roots = _with_added_roots(units, added_root_tol)
+    lead, paired = _group_conjugate_units(theta)
+    leja = _leja_order(lead, paired)
+    roots = _with_added_roots(lead[leja], paired[leja], added_root_tol)
     return PolySolver(kind='newton_roots', order=order, effective_order=k - 1,
                       roots=roots,
                       residual_history=_residual_history(H, k, beta))
@@ -401,16 +462,9 @@ def _poly_apply_flops(p, nnz, n):
     if p.kind == 'neumann':
         return 2 * n + p.effective_order * (2 * nnz + 6 * n)
     if p.kind == 'newton_roots':
-        total = 0
-        i = 0
-        while i < len(p.roots):
-            if p.roots[i].imag == 0:
-                total += 2 * nnz + 4 * n
-                i += 1
-            else:
-                total += 4 * nnz + 10 * n
-                i += 2
-        return total
+        n_real = int(np.count_nonzero(p.roots.imag == 0))
+        n_pairs = (len(p.roots) - n_real) // 2
+        return n_real * (2 * nnz + 4 * n) + n_pairs * (4 * nnz + 10 * n)
     raise ValueError(f'unknown polynomial kind {p.kind!r}')
 
 

@@ -57,7 +57,8 @@ class SolveConfig:
 @dataclass
 class SolveStats:
     """Iteration record for one solve; ``residual_history[0]`` is the initial
-    unpreconditioned residual norm."""
+    unpreconditioned residual norm.  Its ``convergence_factor`` is the mean
+    per-iteration residual reduction, ``None`` when no iteration ran."""
 
     iterations: int
     residual_history: list
@@ -65,8 +66,12 @@ class SolveStats:
     flops_per_cycle: int
 
     def to_dict(self):
+        h = self.residual_history
         return {
             'iterations': self.iterations,
+            'convergence_factor':
+                None if self.iterations == 0
+                else float((h[-1] / h[0]) ** (1.0 / self.iterations)),
             'residual_history': [float(r) for r in self.residual_history],
             'converged': self.converged,
             'flops_per_cycle': self.flops_per_cycle,

@@ -37,12 +37,24 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 2
+    assert res['schema_version'] == 3
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
                   'spgemm_coarse', 'extract', 'drop', 'truncation'):
         assert phase in breakdown
+
+
+def test_record_holds_coarse_roots_and_convergence_factor(tmp_path):
+    code, res = run_cli(tmp_path, '--dim', '2', '--n', '24')
+    assert code == 0
+    coarsest = res['summary']['coarsest']
+    assert coarsest['solver_kind'] == 'newton_roots'
+    assert coarsest['solver_roots'] >= coarsest['solver_effective_order'] + 1
+    solve = res['solve']
+    h = solve['residual_history']
+    assert solve['convergence_factor'] == pytest.approx(
+        (h[-1] / h[0]) ** (1.0 / solve['iterations']), rel=1e-12)
 
 
 def test_compare_inverse_types_pairing(tmp_path):

@@ -448,6 +448,20 @@ def test_hierarchy_summary_schema():
     assert s['coarsest']['solver_kind'] == 'newton_roots'
 
 
+def test_hierarchy_summary_counts_coarse_roots():
+    # Every harmonic Ritz value once, plus the stability copies.
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32,
+                                               vx=np.cos(np.pi / 4),
+                                               vy=np.sin(np.pi / 4)))
+    H = setup(A, SetupConfig())
+    coarsest = hierarchy_summary(H)['coarsest']
+    assert coarsest['solver_roots'] == len(H.coarse_solver.roots)
+    assert coarsest['solver_roots'] >= coarsest['solver_effective_order'] + 1
+    H = setup(A, SetupConfig(coarsest_inverse_type='arnoldi',
+                             coarsest_poly_order=4))
+    assert hierarchy_summary(H)['coarsest']['solver_roots'] is None
+
+
 def test_setup_operators_stay_canonical():
     from airmg import validate
     A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=0.8, vy=0.6))

@@ -6,6 +6,8 @@ explicitly), the Newton form against dense eigenvalues and against the
 coefficient form, and the assembled form against dense masked-power oracles.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,11 @@ from airmg import (PolySolver, SparseMatrix, apply_matrix_free,
                    assemble_fixed_sparsity, build_advection_1d,
                    build_advection_2d, AdvectionProblem, cf_split, extract,
                    gmres_poly_arnoldi, gmres_poly_newton, neumann_poly, spmv)
-from airmg.polynomial import _SCALE_LIMIT, _random_unit_vector, export_diagnostics
+from airmg.polynomial import (_SCALE_LIMIT, _arnoldi, _group_conjugate_units,
+                              _harmonic_ritz, _leja_order, _log_distances,
+                              _poly_apply_flops, _random_unit_vector,
+                              _residual_history, _with_added_roots,
+                              export_diagnostics)
 
 
 def dense_gmres_residual(A_dense, b, m):
@@ -445,3 +451,279 @@ def test_newton_out_of_range_stops_at_last_finite_sum(roots):
     assert trace[-1] == 'stop'
     x = assert_matches_reference(p, A, b)
     assert np.all(np.isfinite(x)) and np.any(x != 0)
+
+
+# The root construction and residual history in their first, per-element
+# form: generator scores over every placed root, a per-unit copy test and
+# one least-squares solve per Krylov step.  The library's array passes must
+# give the same units, order and roots bit for bit, and the same history to
+# rounding.  The score is an explicit left-to-right loop so the reference
+# does not depend on the interpreter's float summation.
+
+def reference_units(roots):
+    real = [complex(r) for r in roots[roots.imag == 0]]
+    upper = np.sort_complex(roots[roots.imag > 0])
+    return [(r,) for r in real] + [(t, np.conj(t)) for t in upper]
+
+
+def reference_leja_order(units):
+    remaining = list(units)
+    remaining.sort(key=lambda u: max(abs(t) for t in u), reverse=True)
+    ordered = [remaining.pop(0)]
+    placed = list(ordered[0])
+    while remaining:
+        scores = []
+        for u in remaining:
+            s = 0.0
+            for t in u:
+                for p in placed:
+                    s += math.log(max(abs(t - p), 1e-300))
+            scores.append(s)
+        best = int(np.argmax(scores))
+        unit = remaining.pop(best)
+        ordered.append(unit)
+        placed.extend(unit)
+    return ordered
+
+
+def reference_added_roots(units, rel_tol):
+    out = []
+    placed = []
+    for unit in units:
+        copies = 1
+        if rel_tol > 0:
+            for t in unit:
+                if any(abs(t - p) < rel_tol * max(abs(t), abs(p))
+                       for p in placed):
+                    copies = 2
+                    break
+        for _ in range(copies):
+            out.extend(unit)
+        placed.extend(unit)
+    return np.array(out, dtype=np.complex128)
+
+
+def reference_residual_history(H, k, beta):
+    rhs = np.zeros(H.shape[0])
+    rhs[0] = beta
+    out = []
+    for j in range(1, k + 1):
+        y, *_ = np.linalg.lstsq(H[:j + 1, :j], rhs[:j + 1], rcond=None)
+        out.append(np.linalg.norm(rhs[:j + 1] - H[:j + 1, :j] @ y))
+    return np.array(out)
+
+
+def reference_newton_flops(roots, nnz, n):
+    total = 0
+    i = 0
+    while i < len(roots):
+        if roots[i].imag == 0:
+            total += 2 * nnz + 4 * n
+            i += 1
+        else:
+            total += 4 * nnz + 10 * n
+            i += 2
+    return total
+
+
+def unit_tuples(lead, paired):
+    return [(t, np.conj(t)) if p else (t,) for t, p in zip(lead, paired)]
+
+
+def root_bits(units):
+    """Unit sizes and the bit patterns of the roots (sign of zero kept)."""
+    flat = np.array([t for u in units for t in u], dtype=np.complex128)
+    return [len(u) for u in units], flat.view(np.uint64).tolist()
+
+
+def conjugate_closed(rng, real, upper):
+    roots = np.concatenate((np.asarray(real, dtype=np.complex128), upper,
+                            np.conj(upper)))
+    return rng.permutation(roots)
+
+
+def random_spectra(rng):
+    """Root sets of every shape the Newton build meets, and some it should
+    survive: dense and triangular eigenvalues (exact repeats), near-clusters,
+    conjugate pairs only, all real, a single unit and signed zero parts."""
+    for n in (*range(1, 31), 100):
+        yield np.linalg.eigvals(rng.standard_normal((n, n)))
+    for n in range(2, 31):
+        T = np.triu(rng.standard_normal((n, n)))
+        np.fill_diagonal(T, rng.choice([-1.0, 0.5, 2.0, 3.0], n))
+        yield np.linalg.eigvals(T)
+    for _ in range(60):
+        centres = rng.standard_normal(rng.integers(1, 6)) * 3
+        real = np.concatenate([c * (1 + rng.uniform(-1, 1, rng.integers(1, 5))
+                                    * 10.0 ** -rng.integers(3, 12))
+                               for c in centres])
+        z = complex(*rng.standard_normal(2))
+        upper = z * (1 + 10.0 ** -rng.integers(3, 12)
+                     * rng.uniform(-1, 1, rng.integers(1, 5)))
+        upper = upper[upper.imag > 0]
+        yield conjugate_closed(rng, real, upper)
+    for _ in range(40):
+        m = rng.integers(1, 20)
+        upper = np.abs(rng.standard_normal(m)) * 1j + rng.standard_normal(m)
+        yield conjugate_closed(rng, [], np.repeat(upper, rng.integers(1, 3)))
+        yield conjugate_closed(rng, np.repeat(rng.uniform(-3, 3, m),
+                                              rng.integers(1, 3)), [])
+    # Symmetric lattices tie scores up to rounding, so the fold order, the
+    # modulus and the logarithm decide; equal moduli (Pythagorean pairs)
+    # tie the starting sort.
+    for width in range(2, 12):
+        grid = np.arange(-width, width + 1, dtype=np.float64)
+        yield conjugate_closed(rng, grid[grid != 0], [])
+        upper = (grid[:, None] + 1j * np.arange(1, 4)[None, :]).ravel()
+        yield conjugate_closed(rng, grid[::2], upper)
+    pythagorean = np.array([7 + 24j, 24 + 7j, 15 + 20j, 20 + 15j, 25j])
+    for _ in range(10):
+        yield conjugate_closed(rng, rng.permutation([25.0, -25.0, 5.0, -5.0,
+                                                     3.0, -3.0] * 2),
+                               np.concatenate((pythagorean,
+                                               -np.conj(pythagorean[:4]),
+                                               [3 + 4j, 4 + 3j, -3 + 4j])))
+    yield np.array([2.5 + 0j])
+    yield np.array([1.0 + 2.0j, 1.0 - 2.0j])
+    yield np.array([complex(1.5, -0.0), 2.0 + 0j, complex(-1.5, -0.0),
+                    0.5 + 1j, 0.5 - 1j])
+
+
+def test_leja_order_and_added_roots_match_reference_bitwise():
+    rng = np.random.default_rng(70)
+    count = 0
+    for roots in random_spectra(rng):
+        lead, paired = _group_conjugate_units(roots)
+        units = reference_units(roots)
+        assert root_bits(unit_tuples(lead, paired)) == root_bits(units)
+        leja = _leja_order(lead, paired)
+        ordered = reference_leja_order(units)
+        assert root_bits(unit_tuples(lead[leja], paired[leja])) == \
+            root_bits(ordered)
+        for tol in (0.0, 1e-4, 1e-2):
+            got = _with_added_roots(lead[leja], paired[leja], tol)
+            want = reference_added_roots(ordered, tol)
+            assert got.view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist()
+        count += 1
+    assert count > 200
+
+
+def test_log_distances_match_scalar_arithmetic_bitwise():
+    # Vectorised complex abs and log differ from the scalar ones in the last
+    # bit on a fraction of inputs; the Leja scores must not.
+    rng = np.random.default_rng(74)
+    roots = np.concatenate((rng.standard_normal(150),
+                            rng.standard_normal(150) * (1 + 1j),
+                            [0.5, 0.5, 0.5 + 1e-310]))
+    want = [[math.log(max(abs(complex(a) - complex(b)), 1e-300))
+             for b in roots] for a in roots]
+    got = _log_distances(roots.astype(np.complex128))
+    assert got.view(np.uint64).tolist() == \
+        np.array(want).view(np.uint64).tolist()
+
+
+def hessenbergs():
+    """``(label, H, k, beta)``: random blocks, Krylov spaces of random and
+    advection matrices, a lucky breakdown and a rank-cut degree.
+
+    Random blocks stay below condition number 1e14: beyond it the
+    reference's ``lstsq`` cuts the rank (``rcond`` is ``eps * (k + 1)``)
+    and its residual is no longer the minimum (see the next test).
+    """
+    rng = np.random.default_rng(71)
+    for k in (1, 2, 7, 40):
+        H = np.triu(rng.standard_normal((k + 1, k)), -1)
+        assert np.linalg.cond(H) < 1e14
+        yield 'random', H, k, rng.uniform(0.1, 10.0)
+    for n in (10, 60, 150):
+        for M in (SparseMatrix.from_dense(rng.standard_normal((n, n))),
+                  random_dd_matrix(rng, n)):
+            _, H, k, beta = _arnoldi(M, _random_unit_vector(n, n), 101)
+            yield 'random_krylov', H, k, beta
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16, vx=vx, vy=vy))
+    split, _ = cf_split(A, theta=0.4, ddc_fraction=0.1, ddc_its=1, seed=0)
+    for M in (A, extract(A, split.f_set, split.f_set)):
+        _, H, k, beta = _arnoldi(M, _random_unit_vector(M.nrows, 3), 101)
+        yield 'advection', H, k, beta
+    D = SparseMatrix.from_dense(np.diag(np.repeat([1.0, 2.0, 5.0, 9.0], 5)))
+    _, H, k, beta = _arnoldi(D, 3.0 * _random_unit_vector(20, 4), 10)
+    assert k == 4 and H[k, k - 1] == 0.0
+    yield 'breakdown', H, k, beta
+    S = SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0, 4.0]))
+    _, H, k, beta = _arnoldi(S, _random_unit_vector(4, 5), 4)
+    _, k_cut = _harmonic_ritz(H, k)
+    assert k_cut < k
+    yield 'rank_cut', H, k_cut, beta
+    # The second column repeats the first: the residual must not move.
+    yield 'singular', np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]), 2, 1.0
+
+
+def test_residual_history_matches_least_squares_reference():
+    for label, H, k, beta in hessenbergs():
+        got = np.array(_residual_history(H, k, beta))
+        want = reference_residual_history(H, k, beta)
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * beta, label
+        if label == 'breakdown':
+            assert got[-1] == 0.0
+
+
+def test_residual_history_at_most_least_squares_when_ill_conditioned():
+    # Condition number about 2e15: the rank-cut least-squares solution is a
+    # feasible but not minimal correction, so the sweep may only be lower.
+    rng = np.random.default_rng(73)
+    H = np.triu(rng.standard_normal((102, 101)), -1)
+    assert np.linalg.cond(H) > 1e14
+    got = np.array(_residual_history(H, 101, 2.0))
+    want = reference_residual_history(H, 101, 2.0)
+    assert np.all(got <= want + 1e-13 * 2.0)
+    assert np.all(np.diff(got) <= 0)
+
+
+def test_newton_build_makes_no_least_squares_call(monkeypatch):
+    def refuse(*_, **__):
+        raise AssertionError('the Newton build must not solve least-squares '
+                             'problems')
+
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=vx, vy=vy))
+    monkeypatch.setattr(np.linalg, 'lstsq', refuse)
+    p = gmres_poly_newton(A, order=100, seed=3)
+    assert len(p.residual_history) == p.effective_order + 1
+
+
+def test_arnoldi_build_makes_one_least_squares_call(monkeypatch):
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=vx, vy=vy))
+    monkeypatch.setattr(np.linalg, 'lstsq', counting)
+    gmres_poly_arnoldi(A, order=10, seed=3)
+    assert len(calls) == 1
+
+
+def test_newton_flops_count_real_roots_and_pairs():
+    rng = np.random.default_rng(72)
+    for _ in range(300):
+        m = rng.integers(1, 60)
+        paired = rng.random(m) < rng.random()
+        lead = rng.standard_normal(m) + 1j * np.where(
+            paired, np.abs(rng.standard_normal(m)) + 0.1, 0.0)
+        if not paired.all():
+            lead[np.flatnonzero(~paired)[0]] = complex(-1.0, -0.0)
+        # Each unit once or twice, as stability copies leave it.
+        roots = np.array([t for u in unit_tuples(lead, paired)
+                          for t in u * rng.integers(1, 3)])
+        p = PolySolver(kind='newton_roots', order=m, effective_order=m - 1,
+                       roots=roots)
+        nnz, n = (int(v) for v in rng.integers(1, 10 ** 7, 2))
+        got = _poly_apply_flops(p, nnz, n)
+        assert type(got) is int
+        assert got == reference_newton_flops(roots, nnz, n)

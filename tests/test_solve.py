@@ -244,6 +244,21 @@ def test_residual_history_decreases_after_first_iteration():
     assert all(np.isfinite(r) for r in h)
 
 
+def test_convergence_factor_is_mean_residual_reduction():
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
+    H = setup(A, SetupConfig())
+    zero = np.zeros(A.nrows)
+    _, stats = richardson_solve(H, np.ones(A.nrows), zero, SolveConfig())
+    h = stats.residual_history
+    factor = stats.to_dict()['convergence_factor']
+    assert factor == (h[-1] / h[0]) ** (1.0 / stats.iterations)
+    assert 0 < factor < 1
+    _, stats = richardson_solve(H, zero, zero, SolveConfig())
+    assert stats.iterations == 0
+    assert stats.to_dict()['convergence_factor'] is None
+
+
 def test_solve_bitwise_deterministic():
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, b = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
