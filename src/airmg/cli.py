@@ -1,9 +1,9 @@
 """Benchmark harness: build a problem, run setup and solve, emit results.
 
-Flags map one to one onto the ``SetupConfig``/``SolveConfig`` fields (see
-``SETUP_FLAG_MAP``/``SOLVE_FLAG_MAP``); a JSON record of the run is written
-to ``--output`` or stdout.  Exit codes: 0 converged, 1 configuration error,
-2 non-convergence or divergence.
+Setup and solve flags are generated from the ``SetupConfig``/``SolveConfig``
+fields (``SETUP_FLAG_MAP``/``SOLVE_FLAG_MAP``); a JSON record of the run is
+written to ``--output`` or stdout.  Exit codes: 0 converged, 1 configuration
+error, 2 non-convergence or divergence.
 """
 
 import argparse
@@ -12,10 +12,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .hierarchy import SETUP_PHASES, SetupConfig, hierarchy_summary, setup
+from .hierarchy import (_COARSEST_INVERSE_TYPES, _INVERSE_TYPES, SETUP_PHASES,
+                        SetupConfig, hierarchy_summary, setup)
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
 from .sparse import write_matrix_market
@@ -23,41 +25,32 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'emit_report', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-# Flag-to-field mapping, kept exhaustive over the config dataclasses (tested
-# by reflection).  Boolean fields use paired --flag/--no-flag options.
-SETUP_FLAG_MAP = {
-    '--strong-threshold': 'strong_threshold',
-    '--ddc-fraction': 'ddc_fraction',
-    '--ddc-its': 'ddc_its',
-    '--ddc-bins': 'ddc_bins',
-    '--poly-order': 'poly_order',
-    '--inverse-type': 'inverse_type',
-    '--matrix-free-polys': 'matrix_free_polys',
-    '--a-drop': 'a_drop',
-    '--r-drop': 'r_drop',
-    '--a-lump': 'lump',
-    '--coarsest-poly-order': 'coarsest_poly_order',
-    '--coarsest-inverse-type': 'coarsest_inverse_type',
-    '--auto-truncate-tol': 'auto_truncate_tol',
-    '--auto-truncate-start-level': 'auto_truncate_start_level',
-    '--max-levels': 'max_levels',
-    '--min-coarse-size': 'min_coarse_size',
-    '--seed': 'seed',
-    '--smooth-type': 'smooth_type',
-    '--one-point-classical-prolong': 'one_point_classical_prolong',
-    '--improve-z-its': 'improve_z_its',
-    '--improve-w-its': 'improve_w_its',
-    '--inverse-sparsity-order': 'inverse_sparsity_order',
-}
+# Each config field is one flag, ``--field-name``, except ``lump``, which keeps
+# its documented name; boolean fields get paired --flag/--no-flag options.
+_FLAG_NAME_EXCEPTIONS = {'lump': '--a-lump'}
+_CHOICES = {'inverse_type': _INVERSE_TYPES,
+            'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
 
-SOLVE_FLAG_MAP = {
-    '--rtol': 'rtol',
-    '--atol': 'atol',
-    '--max-iters': 'max_iters',
-    '--f-smooth-its': 'f_smooth_its',
-}
+
+def _flag(name):
+    return _FLAG_NAME_EXCEPTIONS.get(name, '--' + name.replace('_', '-'))
+
+
+SETUP_FLAG_MAP = {_flag(f.name): f.name for f in fields(SetupConfig)}
+SOLVE_FLAG_MAP = {_flag(f.name): f.name for f in fields(SolveConfig)}
+
+
+def _add_config_flags(group, cls):
+    """One flag per field of ``cls``, defaulting to the field's default."""
+    for f in fields(cls):
+        if f.type is bool:
+            how = {'action': argparse.BooleanOptionalAction}
+        else:
+            how = {'type': f.type, 'choices': _CHOICES.get(f.name)}
+        group.add_argument(_flag(f.name), dest=f.name, default=f.default,
+                           **how)
 
 
 def _build_parser():
@@ -80,42 +73,13 @@ def _build_parser():
     prob.add_argument('--ly', type=float, default=1.0)
 
     su = p.add_argument_group('setup (maps 1:1 onto SetupConfig)')
-    su.add_argument('--strong-threshold', type=float, default=None)
-    su.add_argument('--ddc-fraction', type=float, default=None)
-    su.add_argument('--ddc-its', type=int, default=None)
-    su.add_argument('--ddc-bins', type=int, default=None)
-    su.add_argument('--poly-order', type=int, default=None)
-    su.add_argument('--inverse-type', choices=('arnoldi', 'neumann'),
-                    default=None)
-    su.add_argument('--matrix-free-polys',
-                    action=argparse.BooleanOptionalAction, default=None)
-    su.add_argument('--a-drop', type=float, default=None)
-    su.add_argument('--r-drop', type=float, default=None)
-    su.add_argument('--a-lump', action=argparse.BooleanOptionalAction,
-                    default=None, dest='a_lump')
-    su.add_argument('--coarsest-poly-order', type=int, default=None)
-    su.add_argument('--coarsest-inverse-type',
-                    choices=('newton', 'arnoldi', 'neumann'), default=None)
-    su.add_argument('--auto-truncate-tol', type=float, default=None)
+    _add_config_flags(su, SetupConfig)
     su.add_argument('--no-auto-truncate', action='store_true',
                     help='disable hierarchy truncation '
                          '(auto_truncate_tol=None)')
-    su.add_argument('--auto-truncate-start-level', type=int, default=None)
-    su.add_argument('--max-levels', type=int, default=None)
-    su.add_argument('--min-coarse-size', type=int, default=None)
-    su.add_argument('--seed', type=int, default=None)
-    su.add_argument('--smooth-type', default=None)
-    su.add_argument('--one-point-classical-prolong',
-                    action=argparse.BooleanOptionalAction, default=None)
-    su.add_argument('--improve-z-its', type=int, default=None)
-    su.add_argument('--improve-w-its', type=int, default=None)
-    su.add_argument('--inverse-sparsity-order', type=int, default=None)
 
     so = p.add_argument_group('solve (maps 1:1 onto SolveConfig)')
-    so.add_argument('--rtol', type=float, default=None)
-    so.add_argument('--atol', type=float, default=None)
-    so.add_argument('--max-iters', type=int, default=None)
-    so.add_argument('--f-smooth-its', type=int, default=None)
+    _add_config_flags(so, SolveConfig)
 
     out = p.add_argument_group('execution and output')
     out.add_argument('--second-solve', action=argparse.BooleanOptionalAction,
@@ -143,17 +107,8 @@ def _build_parser():
     return p
 
 
-def _config_from_args(args, cls, flag_map):
-    overrides = {}
-    for flag, field_name in flag_map.items():
-        attr = flag.lstrip('-').replace('-', '_')
-        if attr == 'a_lump':
-            value = args.a_lump
-        else:
-            value = getattr(args, attr)
-        if value is not None:
-            overrides[field_name] = value
-    return cls(**overrides)
+def _config_from_args(args, cls):
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _problem_from_args(args):
@@ -211,8 +166,9 @@ def _write_cf_diagnostics(H, directory):
                             int(c)])
 
 
-def _single_run(problem, setup_cfg, solve_cfg, second_solve, repeats):
-    A, b = _build_system(problem)
+def _single_run(problem, A, b, setup_cfg, solve_cfg, second_solve, repeats):
+    # A new matrix object holds no cached scipy view, so setup is timed cold.
+    A = replace(A)
     x0 = np.ones(A.nrows)
     t0 = time.perf_counter()
     H = setup(A, setup_cfg)
@@ -236,10 +192,8 @@ def _single_run(problem, setup_cfg, solve_cfg, second_solve, repeats):
             'vx': problem.vx, 'vy': problem.vy,
             'Lx': problem.Lx, 'Ly': problem.Ly,
         },
-        'setup_config': setup_cfg.to_dict(),
-        'solve_config': {'rtol': solve_cfg.rtol, 'atol': solve_cfg.atol,
-                         'max_iters': solve_cfg.max_iters,
-                         'f_smooth_its': solve_cfg.f_smooth_its},
+        'setup_config': asdict(setup_cfg),
+        'solve_config': asdict(solve_cfg),
         'summary': hierarchy_summary(H),
         'solve': stats.to_dict(),
         'timings': {
@@ -260,26 +214,32 @@ def run(args):
     non-convergence (exit code 2 carries it instead).
     """
     problem = _problem_from_args(args)
-    setup_cfg = _config_from_args(args, SetupConfig, SETUP_FLAG_MAP)
+    setup_cfg = _config_from_args(args, SetupConfig)
     if args.no_auto_truncate:
-        setup_cfg = SetupConfig(**{**setup_cfg.to_dict(),
-                                   'auto_truncate_tol': None})
+        setup_cfg = replace(setup_cfg, auto_truncate_tol=None)
     setup_cfg.validate()
-    solve_cfg = _config_from_args(args, SolveConfig, SOLVE_FLAG_MAP).validate()
+    solve_cfg = _config_from_args(args, SolveConfig).validate()
+    if args.compare_inverse_types:
+        # These files are written from one run's hierarchy and solve.
+        side_files = [_flag(name) for name in
+                      ('residual_csv', 'dump_operators', 'cf_diagnostics')
+                      if getattr(args, name)]
+        if side_files:
+            raise ValueError(f'{", ".join(side_files)} cannot be combined '
+                             'with --compare-inverse-types')
 
+    A, b = _build_system(problem)
     if args.export_matrix:
-        A, _ = _build_system(problem)
         write_matrix_market(A, args.export_matrix)
 
     exit_code = 0
     if args.compare_inverse_types:
         results = {}
         for label, kind in (('airg', 'arnoldi'), ('nair', 'neumann')):
-            cfg_k = SetupConfig(**{**setup_cfg.to_dict(),
-                                   'inverse_type': kind})
+            cfg_k = replace(setup_cfg, inverse_type=kind)
             try:
-                _, _, stats, res = _single_run(problem, cfg_k, solve_cfg,
-                                               args.second_solve,
+                _, _, stats, res = _single_run(problem, A, b, cfg_k,
+                                               solve_cfg, args.second_solve,
                                                args.repeats)
             except DivergenceError as exc:
                 results[label] = {'diverged': True, 'error': str(exc),
@@ -294,8 +254,9 @@ def run(args):
         return exit_code, result
 
     try:
-        H, x, stats, result = _single_run(problem, setup_cfg, solve_cfg,
-                                          args.second_solve, args.repeats)
+        H, x, stats, result = _single_run(problem, A, b, setup_cfg,
+                                          solve_cfg, args.second_solve,
+                                          args.repeats)
     except DivergenceError as exc:
         return 2, {'schema_version': SCHEMA_VERSION, 'diverged': True,
                    'error': str(exc), 'iteration': exc.iteration}

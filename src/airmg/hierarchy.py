@@ -14,7 +14,7 @@ the cycle performs fine-point smoothing only.
 
 import logging
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def _derive_seed(root, level, role):
 class SetupConfig:
     """Hierarchy construction parameters.
 
-    The fields mirror the benchmark command-line flags one to one.  The
+    The benchmark's command-line flags are generated from the fields.  The
     trailing block (``smooth_type`` onward) exposes variants that this solver
     deliberately does not implement; ``validate`` rejects any non-default
     value there with a clear error.
@@ -144,9 +144,6 @@ class SetupConfig:
             raise ValueError('only inverse_sparsity_order=1 is implemented')
         return self
 
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class Level:
@@ -207,12 +204,6 @@ class _Timer:
         return False
 
 
-def _smoother_for(A_ff, cfg, seed):
-    if cfg.inverse_type == 'arnoldi':
-        return gmres_poly_arnoldi(A_ff, cfg.poly_order, seed)
-    return neumann_poly(A_ff, cfg.poly_order)
-
-
 def build_restriction(A, split, cfg, level=0, timings=None):
     """Approximate ideal restriction and the operators kept for smoothing.
 
@@ -233,8 +224,8 @@ def build_restriction(A, split, cfg, level=0, timings=None):
         A_fc = extract(A, f, c)
         A_cf = extract(A, c, f)
     with _Timer(timings, 'polynomial'):
-        smoother = _smoother_for(A_ff, cfg,
-                                 _derive_seed(cfg.seed, level, _SEED_SMOOTHER))
+        smoother = _build_poly(cfg.inverse_type, A_ff, cfg.poly_order,
+                               _derive_seed(cfg.seed, level, _SEED_SMOOTHER))
         assembled = assemble_fixed_sparsity(smoother, A_ff)
     with _Timer(timings, 'spgemm_R'):
         Z = _spgemm_numeric(A_cf, assembled)
@@ -295,14 +286,20 @@ def coarse_matrix(A, R, P, cfg, timings=None):
         return drop_and_lump(coarse, cfg.a_drop, lump=cfg.lump)
 
 
-def _build_coarse_solver(A, cfg, level):
-    seed = _derive_seed(cfg.seed, level, _SEED_COARSE_POLY)
-    kind = cfg.coarsest_inverse_type
+def _build_poly(kind, A, order, seed):
+    """Polynomial inverse of ``A`` of any ``_COARSEST_INVERSE_TYPES`` kind.
+    The builders are called by module name, so rebinding the names (as a
+    tracer does) reaches every build."""
     if kind == 'newton':
-        return gmres_poly_newton(A, cfg.coarsest_poly_order, seed)
+        return gmres_poly_newton(A, order, seed)
     if kind == 'arnoldi':
-        return gmres_poly_arnoldi(A, cfg.coarsest_poly_order, seed)
-    return neumann_poly(A, cfg.coarsest_poly_order)
+        return gmres_poly_arnoldi(A, order, seed)
+    return neumann_poly(A, order)
+
+
+def _build_coarse_solver(A, cfg, level):
+    return _build_poly(cfg.coarsest_inverse_type, A, cfg.coarsest_poly_order,
+                       _derive_seed(cfg.seed, level, _SEED_COARSE_POLY))
 
 
 def _resolve_truncate_start(cfg, n_top):
@@ -490,6 +487,7 @@ def hierarchy_summary(H):
             'nnz_smoother_assembled':
                 None if L.f_smoother_assembled is None
                 else int(L.f_smoother_assembled.nnz),
+            'ddc_passes': [asdict(s) for s in L.ddc_stats],
         })
     return {
         'num_levels': len(H.levels),

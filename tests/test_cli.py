@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import airmg.cli
 from airmg import SetupConfig, SolveConfig, read_matrix_market, setup
 from airmg import AdvectionProblem, build_advection_2d
 from airmg.cli import (SETUP_FLAG_MAP, SOLVE_FLAG_MAP, emit_report, main,
-                       _build_parser)
+                       _build_parser, _config_from_args)
+from airmg.hierarchy import _COARSEST_INVERSE_TYPES, _INVERSE_TYPES
 
 
 def run_cli(tmp_path, *args, name='out.json'):
@@ -37,7 +39,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 3
+    assert res['schema_version'] == 4
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
@@ -81,6 +83,47 @@ def test_flag_maps_cover_configs_exactly():
              for opt in action.option_strings}
     for flag in list(SETUP_FLAG_MAP) + list(SOLVE_FLAG_MAP):
         assert flag in known, f'{flag} missing from the parser'
+
+
+def _non_default(f):
+    """A valid command-line value for field ``f`` other than its default."""
+    if f.type is str:
+        choices = {'inverse_type': _INVERSE_TYPES,
+                   'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
+        return next(c for c in choices.get(f.name, ('c',)) if c != f.default)
+    return f.type(3 if f.default is None else f.default + 1)
+
+
+@pytest.mark.parametrize('cls, flag_map', [(SetupConfig, SETUP_FLAG_MAP),
+                                           (SolveConfig, SOLVE_FLAG_MAP)])
+def test_generated_flags_set_their_fields(cls, flag_map):
+    parser = _build_parser()
+    flag_of = {name: flag for flag, name in flag_map.items()}
+    for f in fields(cls):
+        flag = flag_of[f.name]
+        if f.type is bool:
+            negated = '--no-' + flag[2:]
+            for argv, value in (([flag], True), ([negated], False)):
+                got = getattr(_config_from_args(parser.parse_args(argv), cls),
+                              f.name)
+                assert got is value, (argv, got)
+            continue
+        value = _non_default(f)
+        got = getattr(_config_from_args(parser.parse_args([flag, str(value)]),
+                                        cls), f.name)
+        assert got == value and type(got) is f.type, (flag, got)
+    assert _config_from_args(parser.parse_args([]), cls) == cls()
+
+
+def test_kind_choices_come_from_the_hierarchy(capsys):
+    choices = {action.dest: action.choices
+               for action in _build_parser()._actions}
+    assert tuple(choices['inverse_type']) == _INVERSE_TYPES
+    assert tuple(choices['coarsest_inverse_type']) == _COARSEST_INVERSE_TYPES
+    assert SETUP_FLAG_MAP['--a-lump'] == 'lump'
+    for flag in ('--inverse-type', '--coarsest-inverse-type'):
+        assert main(['--n', '8', flag, 'bogus']) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def _readme_flag_defaults():
@@ -163,6 +206,52 @@ def test_export_matrix_roundtrip(tmp_path):
     assert code == 0
     A = read_matrix_market(mtx)
     assert A.nrows == 16 and A.nnz == 31
+
+
+@pytest.mark.parametrize('flag', ['--residual-csv', '--dump-operators',
+                                  '--cf-diagnostics'])
+def test_compare_mode_rejects_side_file_flags(tmp_path, capsys, flag):
+    target = tmp_path / 'side'
+    code, res = run_cli(tmp_path, '--n', '16', '--compare-inverse-types',
+                        flag, str(target))
+    assert code == 1 and res is None
+    assert not target.exists()
+    assert (f'error: {flag} cannot be combined with --compare-inverse-types'
+            in capsys.readouterr().err)
+
+
+def test_system_is_built_once_per_run(tmp_path, monkeypatch):
+    built = []
+    real = airmg.cli._build_system
+
+    def counting(problem):
+        built.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(airmg.cli, '_build_system', counting)
+    code, res = run_cli(tmp_path, '--n', '16', '--compare-inverse-types',
+                        '--export-matrix', str(tmp_path / 'A.mtx'))
+    assert code == 0
+    assert len(built) == 1
+    assert read_matrix_market(tmp_path / 'A.mtx').nrows == 16 * 16
+    assert res['airg']['problem']['n'] == res['nair']['problem']['n'] == 256
+
+
+def test_record_holds_ddc_passes(tmp_path):
+    code, res = run_cli(tmp_path, '--n', '32')
+    assert code == 0
+    ddc_its = res['setup_config']['ddc_its']
+    assert ddc_its == 2
+    for level in res['summary']['levels']:
+        passes = level['ddc_passes']
+        assert len(passes) == ddc_its
+        first, second = passes
+        assert second['n_f_before'] == (first['n_f_before']
+                                        - first['converted'])
+        assert set(first) == {'n_f_before', 'converted', 'ratio_min',
+                              'ratio_max', 'ratio_mean', 'cut'}
+    assert any(p['converted'] for level in res['summary']['levels']
+               for p in level['ddc_passes'])
 
 
 def test_dump_operators_and_cf_diagnostics(tmp_path):
