@@ -1,7 +1,8 @@
 """Benchmark harness: build a problem, run setup and solve, emit results.
 
 Setup and solve flags are generated from the ``SetupConfig``/``SolveConfig``
-fields (``SETUP_FLAG_MAP``/``SOLVE_FLAG_MAP``); a JSON record of the run is
+fields (``SETUP_FLAG_MAP``/``SOLVE_FLAG_MAP``); a flag that is not given
+leaves its field at the dataclass default.  A JSON record of the run is
 written to ``--output`` or stdout.  Exit codes: 0 converged, 1 configuration
 error, 2 non-convergence or divergence.
 """
@@ -12,7 +13,10 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, fields, replace
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -25,10 +29,11 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'emit_report', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # Each config field is one flag, ``--field-name``, except ``lump``, which keeps
-# its documented name; boolean fields get paired --flag/--no-flag options.
+# its documented name; boolean fields get paired --flag/--no-flag options, and
+# an ``X | None`` field also takes the literal ``none``.
 _FLAG_NAME_EXCEPTIONS = {'lump': '--a-lump'}
 _CHOICES = {'inverse_type': _INVERSE_TYPES,
             'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
@@ -42,15 +47,28 @@ SETUP_FLAG_MAP = {_flag(f.name): f.name for f in fields(SetupConfig)}
 SOLVE_FLAG_MAP = {_flag(f.name): f.name for f in fields(SolveConfig)}
 
 
+def _field_parser(tp):
+    """Command-line parser for a field annotated ``tp``."""
+    base, *optional = typing.get_args(tp) or (tp,)
+    if not optional:
+        return base
+
+    def parse(text):
+        return None if text == 'none' else base(text)
+    parse.__name__ = base.__name__  # argparse names it in its errors
+    return parse
+
+
 def _add_config_flags(group, cls):
-    """One flag per field of ``cls``, defaulting to the field's default."""
+    """One flag per field of ``cls``; it sets no attribute unless given."""
     for f in fields(cls):
         if f.type is bool:
             how = {'action': argparse.BooleanOptionalAction}
         else:
-            how = {'type': f.type, 'choices': _CHOICES.get(f.name)}
-        group.add_argument(_flag(f.name), dest=f.name, default=f.default,
-                           **how)
+            how = {'type': _field_parser(f.type),
+                   'choices': _CHOICES.get(f.name)}
+        group.add_argument(_flag(f.name), dest=f.name,
+                           default=argparse.SUPPRESS, **how)
 
 
 def _build_parser():
@@ -69,25 +87,17 @@ def _build_parser():
     prob.add_argument('--angle', type=float, default=None,
                       help='velocity angle in radians; takes precedence over '
                            '--vx/--vy')
-    prob.add_argument('--lx', type=float, default=1.0)
-    prob.add_argument('--ly', type=float, default=1.0)
 
     su = p.add_argument_group('setup (maps 1:1 onto SetupConfig)')
     _add_config_flags(su, SetupConfig)
-    su.add_argument('--no-auto-truncate', action='store_true',
-                    help='disable hierarchy truncation '
-                         '(auto_truncate_tol=None)')
 
     so = p.add_argument_group('solve (maps 1:1 onto SolveConfig)')
     _add_config_flags(so, SolveConfig)
 
     out = p.add_argument_group('execution and output')
-    out.add_argument('--second-solve', action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help='run the solve twice and report timings from the '
-                          'second (warm) solve')
     out.add_argument('--repeats', type=int, default=1,
-                     help='number of timed solve repetitions')
+                     help='timed warm solves after the cold one; 0 reports '
+                          'the cold solve')
     out.add_argument('--compare-inverse-types', action='store_true',
                      help='paired run: arnoldi (AIRG) vs neumann (nAIR) with '
                           'identical settings')
@@ -107,8 +117,25 @@ def _build_parser():
     return p
 
 
+def _refuse_overlaps(args):
+    """Refuse a given flag that another given flag overrides or ignores: the
+    paired run sets the kind and makes two runs, which one run's side files
+    cannot describe, and a 1-D problem has no y direction."""
+    for active, flag, names in (
+            (args.compare_inverse_types, '--compare-inverse-types',
+             ('inverse_type', 'residual_csv', 'dump_operators',
+              'cf_diagnostics')),
+            (args.dim == 1, '--dim 1', ('ny', 'vy', 'angle'))):
+        given = [_flag(name) for name in names
+                 if getattr(args, name, None) is not None]
+        if active and given:
+            raise ValueError(f'{", ".join(given)} cannot be combined with '
+                             f'{flag}')
+
+
 def _config_from_args(args, cls):
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                  if hasattr(args, f.name)})
 
 
 def _problem_from_args(args):
@@ -121,9 +148,9 @@ def _problem_from_args(args):
         vx, vy = float(np.cos(np.pi / 4)), float(np.sin(np.pi / 4))
     nx = args.nx if args.nx is not None else args.n
     if args.dim == 1:
-        return AdvectionProblem(nx=nx, ny=0, vx=vx, vy=0.0, Lx=args.lx)
+        return AdvectionProblem(nx=nx, ny=0, vx=vx, vy=0.0)
     ny = args.ny if args.ny is not None else args.n
-    return AdvectionProblem(nx=nx, ny=ny, vx=vx, vy=vy, Lx=args.lx, Ly=args.ly)
+    return AdvectionProblem(nx=nx, ny=ny, vx=vx, vy=vy)
 
 
 def _build_system(problem):
@@ -166,7 +193,7 @@ def _write_cf_diagnostics(H, directory):
                             int(c)])
 
 
-def _single_run(problem, A, b, setup_cfg, solve_cfg, second_solve, repeats):
+def _single_run(problem, A, b, setup_cfg, solve_cfg, repeats):
     # A new matrix object holds no cached scipy view, so setup is timed cold.
     A = replace(A)
     x0 = np.ones(A.nrows)
@@ -177,8 +204,7 @@ def _single_run(problem, A, b, setup_cfg, solve_cfg, second_solve, repeats):
     x, stats = richardson_solve(H, b, x0, solve_cfg)
     first_solve_seconds = time.perf_counter() - t0
     repeat_seconds = []
-    n_timed = max(repeats, 1) if second_solve else max(repeats - 1, 0)
-    for _ in range(n_timed):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         x, stats = richardson_solve(H, b, x0, solve_cfg)
         repeat_seconds.append(time.perf_counter() - t0)
@@ -190,7 +216,6 @@ def _single_run(problem, A, b, setup_cfg, solve_cfg, second_solve, repeats):
             'nx': problem.nx, 'ny': problem.ny,
             'n': A.nrows,
             'vx': problem.vx, 'vy': problem.vy,
-            'Lx': problem.Lx, 'Ly': problem.Ly,
         },
         'setup_config': asdict(setup_cfg),
         'solve_config': asdict(solve_cfg),
@@ -213,20 +238,12 @@ def run(args):
     Returns ``(exit_code, result_dict)``; never raises for solver
     non-convergence (exit code 2 carries it instead).
     """
+    _refuse_overlaps(args)
     problem = _problem_from_args(args)
-    setup_cfg = _config_from_args(args, SetupConfig)
-    if args.no_auto_truncate:
-        setup_cfg = replace(setup_cfg, auto_truncate_tol=None)
-    setup_cfg.validate()
+    setup_cfg = _config_from_args(args, SetupConfig).validate()
     solve_cfg = _config_from_args(args, SolveConfig).validate()
-    if args.compare_inverse_types:
-        # These files are written from one run's hierarchy and solve.
-        side_files = [_flag(name) for name in
-                      ('residual_csv', 'dump_operators', 'cf_diagnostics')
-                      if getattr(args, name)]
-        if side_files:
-            raise ValueError(f'{", ".join(side_files)} cannot be combined '
-                             'with --compare-inverse-types')
+    if args.repeats < 0:
+        raise ValueError('--repeats must be non-negative')
 
     A, b = _build_system(problem)
     if args.export_matrix:
@@ -239,8 +256,7 @@ def run(args):
             cfg_k = replace(setup_cfg, inverse_type=kind)
             try:
                 _, _, stats, res = _single_run(problem, A, b, cfg_k,
-                                               solve_cfg, args.second_solve,
-                                               args.repeats)
+                                               solve_cfg, args.repeats)
             except DivergenceError as exc:
                 results[label] = {'diverged': True, 'error': str(exc),
                                   'iteration': exc.iteration}
@@ -255,8 +271,7 @@ def run(args):
 
     try:
         H, x, stats, result = _single_run(problem, A, b, setup_cfg,
-                                          solve_cfg, args.second_solve,
-                                          args.repeats)
+                                          solve_cfg, args.repeats)
     except DivergenceError as exc:
         return 2, {'schema_version': SCHEMA_VERSION, 'diverged': True,
                    'error': str(exc), 'iteration': exc.iteration}
@@ -275,40 +290,24 @@ def run(args):
     return exit_code, result
 
 
-REPORT_COLUMNS = [
-    'n', 'dim', 'nx', 'ny', 'vx', 'vy', 'strong_threshold', 'poly_order',
-    'inverse_type', 'iterations', 'converged', 'num_levels', 'truncated_at',
-    'cycle_complexity', 'storage_complexity', 'grid_complexity',
-    'setup_seconds', 'solve_seconds',
-] + [f'setup_{phase}' for phase in SETUP_PHASES]
+# Each report column and the path of its value in a run record.
+_REPORT_PATHS = {
+    **{key: (section, key) for section, keys in (
+        ('problem', ('n', 'dim', 'nx', 'ny', 'vx', 'vy')),
+        ('setup_config', ('strong_threshold', 'poly_order', 'inverse_type')),
+        ('solve', ('iterations', 'converged')),
+        ('summary', ('num_levels', 'truncated_at', 'cycle_complexity',
+                     'storage_complexity', 'grid_complexity')),
+        ('timings', ('setup_seconds', 'solve_seconds'))) for key in keys},
+    **{f'setup_{phase}': ('timings', 'setup_breakdown', phase)
+       for phase in SETUP_PHASES},
+}
+REPORT_COLUMNS = list(_REPORT_PATHS)
 
 
 def _report_row(result):
-    summary = result['summary']
-    breakdown = result['timings']['setup_breakdown']
-    row = {
-        'n': result['problem']['n'],
-        'dim': result['problem']['dim'],
-        'nx': result['problem']['nx'],
-        'ny': result['problem']['ny'],
-        'vx': result['problem']['vx'],
-        'vy': result['problem']['vy'],
-        'strong_threshold': result['setup_config']['strong_threshold'],
-        'poly_order': result['setup_config']['poly_order'],
-        'inverse_type': result['setup_config']['inverse_type'],
-        'iterations': result['solve']['iterations'],
-        'converged': result['solve']['converged'],
-        'num_levels': summary['num_levels'],
-        'truncated_at': summary['truncated_at'],
-        'cycle_complexity': summary['cycle_complexity'],
-        'storage_complexity': summary['storage_complexity'],
-        'grid_complexity': summary['grid_complexity'],
-        'setup_seconds': result['timings']['setup_seconds'],
-        'solve_seconds': result['timings']['solve_seconds'],
-    }
-    for phase, seconds in breakdown.items():
-        row[f'setup_{phase}'] = seconds
-    return row
+    return {column: reduce(getitem, path, result)
+            for column, path in _REPORT_PATHS.items()}
 
 
 def emit_report(results, csv_path=None, json_path=None):

@@ -13,6 +13,7 @@ the cycle performs fine-point smoothing only.
 """
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -75,7 +76,6 @@ class SetupConfig:
     strong_threshold: float = 0.99
     ddc_fraction: float = 0.01
     ddc_its: int = 2
-    ddc_bins: int = 1000
     poly_order: int = 6
     inverse_type: str = 'arnoldi'
     matrix_free_polys: bool = True
@@ -84,8 +84,8 @@ class SetupConfig:
     lump: bool = True
     coarsest_poly_order: int = 100
     coarsest_inverse_type: str = 'newton'
-    auto_truncate_tol: float = 0.1
-    auto_truncate_start_level: int = None
+    auto_truncate_tol: float | None = 0.1
+    auto_truncate_start_level: int | None = None
     max_levels: int = 100
     min_coarse_size: int = 16
     seed: int = 0
@@ -96,20 +96,20 @@ class SetupConfig:
     inverse_sparsity_order: int = 1
 
     def validate(self):
+        # Each float check is a range test that NaN fails.
         if not 0.0 <= self.strong_threshold <= 1.0:
             raise ValueError('strong_threshold must lie in [0, 1]')
         if not 0.0 < self.ddc_fraction < 1.0:
             raise ValueError('ddc_fraction must lie in (0, 1)')
         if self.ddc_its < 0:
             raise ValueError('ddc_its must be non-negative')
-        if self.ddc_bins < 1:
-            raise ValueError('ddc_bins must be positive')
         if self.poly_order < 0:
             raise ValueError('poly_order must be non-negative')
         if self.inverse_type not in _INVERSE_TYPES:
             raise ValueError(f'inverse_type must be one of {_INVERSE_TYPES}')
-        if self.a_drop < 0 or self.r_drop < 0:
-            raise ValueError('drop tolerances must be non-negative')
+        for name in ('a_drop', 'r_drop'):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f'{name} must be finite and non-negative')
         if self.coarsest_inverse_type not in _COARSEST_INVERSE_TYPES:
             raise ValueError('coarsest_inverse_type must be one of '
                              f'{_COARSEST_INVERSE_TYPES}')
@@ -117,8 +117,10 @@ class SetupConfig:
         if self.coarsest_poly_order < min_order:
             raise ValueError('coarsest_poly_order too small for '
                              f'{self.coarsest_inverse_type}')
-        if self.auto_truncate_tol is not None and self.auto_truncate_tol < 0:
-            raise ValueError('auto_truncate_tol must be non-negative or None')
+        if (self.auto_truncate_tol is not None
+                and not 0.0 <= self.auto_truncate_tol < math.inf):
+            raise ValueError('auto_truncate_tol must be finite and '
+                             'non-negative, or None')
         if (self.auto_truncate_start_level is not None
                 and self.auto_truncate_start_level < 0):
             raise ValueError('auto_truncate_start_level must be non-negative '
@@ -387,8 +389,7 @@ def setup(A, cfg):
         with _Timer(timings, 'cf_split'):
             split, ddc_stats = cf_split(
                 current, cfg.strong_threshold, cfg.ddc_fraction, cfg.ddc_its,
-                _derive_seed(cfg.seed, level, _SEED_SPLIT),
-                nbins=cfg.ddc_bins)
+                _derive_seed(cfg.seed, level, _SEED_SPLIT))
         if split.n_f == 0:
             # The repair made every F point C (a diagonal matrix): solve here.
             _log.info('level %d needs no further reduction; building the '

@@ -35,6 +35,7 @@ __all__ = [
 _BREAKDOWN_REL = 1e-14
 _RANK_REL = 1e-12
 _SCALE_LIMIT = 1e150
+_ADDED_ROOT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def _with_added_roots(lead, paired, rel_tol):
     return _unit_members(lead[blocks], paired[blocks])[0]
 
 
-def gmres_poly_newton(A, order, seed, added_root_tol=1e-4):
+def gmres_poly_newton(A, order, seed):
     """Minimum-residual polynomial of degree ``order`` in factored Newton form.
 
     Runs ``order + 1`` Arnoldi steps, takes the harmonic Ritz values (the
@@ -334,7 +335,7 @@ def gmres_poly_newton(A, order, seed, added_root_tol=1e-4):
                          'is degenerate')
     lead, paired = _group_conjugate_units(theta)
     leja = _leja_order(lead, paired)
-    roots = _with_added_roots(lead[leja], paired[leja], added_root_tol)
+    roots = _with_added_roots(lead[leja], paired[leja], _ADDED_ROOT_TOL)
     return PolySolver(kind='newton_roots', order=order, effective_order=k - 1,
                       roots=roots,
                       residual_history=_residual_history(H, k, beta))

@@ -23,16 +23,13 @@ class AdvectionProblem:
 
     ``ny = 0`` selects the 1-D problem of size ``nx``.  Velocities must lie in
     the first quadrant with ``vx + vy > 0``; other quadrants are reflections
-    that add no new structure.  ``Lx``/``Ly`` are metadata only: the assembled
-    operator is the non-dimensionalised stencil.
+    that add no new structure.
     """
 
     nx: int
     ny: int
     vx: float
     vy: float
-    Lx: float = 1.0
-    Ly: float = 1.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 0:

@@ -9,6 +9,7 @@ starting from ``e_f = 0``; coarse entries take the coarse-grid error
 directly.  The product ``A_fc e_c`` is cached across repeated smooths.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,10 @@ class SolveConfig:
     f_smooth_its: int = 1
 
     def validate(self):
-        if self.rtol <= 0:
-            raise ValueError('rtol must be positive')
-        if self.atol < 0:
-            raise ValueError('atol must be non-negative')
+        if not 0.0 < self.rtol < math.inf:
+            raise ValueError('rtol must be finite and positive')
+        if not 0.0 <= self.atol < math.inf:
+            raise ValueError('atol must be finite and non-negative')
         if self.max_iters < 1:
             raise ValueError('max_iters must be at least 1')
         if self.f_smooth_its < 1:

@@ -31,6 +31,7 @@ F_POINT = 0
 C_POINT = 1
 
 _UNDECIDED, _FINE, _COARSE = 0, 1, 2
+_DDC_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -176,15 +177,13 @@ def _dominance_ratios(A, split, view=None):
     return offsum[split.f_set] / diag
 
 
-def ddc_pass(A, split, fraction, nbins=1000, view=None):
+def ddc_pass(A, split, fraction, view=None):
     """One diagonal-dominance cleanup pass: bin the fine-row dominance ratios
-    into ``nbins`` equal-width bins and convert to C every fine point above
-    the bin boundary whose exceedance count is closest to ``fraction``
+    into ``_DDC_BINS`` equal-width bins and convert to C every fine point
+    above the bin boundary whose exceedance count is closest to ``fraction``
     of the current fine points.  Returns ``(split, DDCPassStats)``."""
     if not 0.0 < fraction < 1.0:
         raise ValueError('fraction must lie in (0, 1)')
-    if nbins < 1:
-        raise ValueError('nbins must be positive')
     if A.nrows != A.ncols:
         raise ValueError('diagonal-dominance cleanup requires a square matrix')
     if split.n_f == 0:
@@ -199,12 +198,12 @@ def ddc_pass(A, split, fraction, nbins=1000, view=None):
         convert = np.full(n_f, abs(n_f - target) < target, dtype=bool)
         cut = lo if convert.any() else hi
     else:
-        edges = lo + (hi - lo) * np.arange(nbins + 1) / nbins
+        edges = lo + (hi - lo) * np.arange(_DDC_BINS + 1) / _DDC_BINS
         sorted_ratios = np.sort(ratios)
         above = n_f - np.searchsorted(sorted_ratios, edges, side='right')
         diffs = np.abs(above - target)
         # Among equidistant boundaries prefer the one converting fewer points.
-        k = nbins - int(np.argmin(diffs[::-1]))
+        k = _DDC_BINS - int(np.argmin(diffs[::-1]))
         cut = float(edges[k])
         convert = ratios > cut
     labels = split.labels.copy()
@@ -231,8 +230,7 @@ def _repair_split(A, split, view):
     return CFSplit.from_labels(labels)
 
 
-def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
-             max_luby_loops=None):
+def cf_split(A, theta, ddc_fraction, ddc_its, seed):
     """Full splitting: independent-set selection, ``ddc_its`` dominance
     cleanup passes and the repair, all reading one view of ``A``.  Returns
     ``(split, stats)``, with the ``DDCPassStats`` of each pass in ``stats``.
@@ -242,10 +240,10 @@ def cf_split(A, theta, ddc_fraction, ddc_its, seed, nbins=1000,
     ``ValueError`` when selection and cleanup leave no F point.
     """
     view = _level_view(A)
-    split = pmisr(strength_graph(A, theta, view), seed, max_luby_loops)
+    split = pmisr(strength_graph(A, theta, view), seed)
     stats = []
     while split.n_f and len(stats) < ddc_its:
-        split, pass_stats = ddc_pass(A, split, ddc_fraction, nbins, view)
+        split, pass_stats = ddc_pass(A, split, ddc_fraction, view)
         stats.append(pass_stats)
     if split.n_f == 0:
         raise ValueError(f'splitting produced no F points ({A.nrows} rows)')

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import math
+import re
 import time
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -39,7 +42,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 4
+    assert res['schema_version'] == 5
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
@@ -85,13 +88,18 @@ def test_flag_maps_cover_configs_exactly():
         assert flag in known, f'{flag} missing from the parser'
 
 
+def _base_type(f):
+    """``X`` for a field annotated ``X`` or ``X | None``."""
+    return (typing.get_args(f.type) or (f.type,))[0]
+
+
 def _non_default(f):
     """A valid command-line value for field ``f`` other than its default."""
     if f.type is str:
         choices = {'inverse_type': _INVERSE_TYPES,
                    'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
         return next(c for c in choices.get(f.name, ('c',)) if c != f.default)
-    return f.type(3 if f.default is None else f.default + 1)
+    return _base_type(f)(3 if f.default is None else f.default + 1)
 
 
 @pytest.mark.parametrize('cls, flag_map', [(SetupConfig, SETUP_FLAG_MAP),
@@ -111,8 +119,60 @@ def test_generated_flags_set_their_fields(cls, flag_map):
         value = _non_default(f)
         got = getattr(_config_from_args(parser.parse_args([flag, str(value)]),
                                         cls), f.name)
-        assert got == value and type(got) is f.type, (flag, got)
+        assert got == value and type(got) is _base_type(f), (flag, got)
     assert _config_from_args(parser.parse_args([]), cls) == cls()
+
+
+def test_none_unsets_optional_fields(capsys):
+    parser = _build_parser()
+    args = parser.parse_args(['--auto-truncate-tol', 'none',
+                              '--auto-truncate-start-level', 'none'])
+    cfg = _config_from_args(args, SetupConfig)
+    assert cfg.auto_truncate_tol is None
+    assert cfg.auto_truncate_start_level is None
+    assert main(['--n', '8', '--auto-truncate-tol', 'None']) == 1
+    assert "invalid float value: 'None'" in capsys.readouterr().err
+
+
+def test_removed_flags_are_unknown():
+    for argv in (['--ddc-bins', '10'], ['--lx', '2'], ['--ly', '2'],
+                 ['--no-auto-truncate'], ['--second-solve'],
+                 ['--no-second-solve']):
+        assert main(['--n', '8', *argv]) == 1, argv
+
+
+@pytest.mark.parametrize('argv, message', [
+    (['--compare-inverse-types', '--inverse-type', 'neumann'],
+     '--inverse-type cannot be combined with --compare-inverse-types'),
+    (['--dim', '1', '--ny', '9'], '--ny cannot be combined with --dim 1'),
+    (['--dim', '1', '--vx', '1', '--vy', '5'],
+     '--vy cannot be combined with --dim 1'),
+    (['--dim', '1', '--angle', '1.2'],
+     '--angle cannot be combined with --dim 1'),
+    (['--repeats', '-1'], '--repeats must be non-negative'),
+])
+def test_overriding_flags_are_refused(tmp_path, capsys, argv, message):
+    code, res = run_cli(tmp_path, '--n', '16', *argv)
+    assert code == 1 and res is None
+    assert f'error: {message}' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('value', [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize('cls, name', [
+    (cls, f.name) for cls in (SetupConfig, SolveConfig) for f in fields(cls)
+    if float in (typing.get_args(f.type) or (f.type,))])
+def test_non_finite_settings_are_refused(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value}).validate()
+
+
+@pytest.mark.parametrize('flag, value', [
+    ('--atol', 'inf'), ('--rtol', 'nan'), ('--auto-truncate-tol', 'nan'),
+    ('--a-drop', 'nan')])
+def test_non_finite_flags_exit_1(tmp_path, capsys, flag, value):
+    code, res = run_cli(tmp_path, '--n', '16', flag, value)
+    assert code == 1 and res is None
+    assert f'error: {flag[2:].replace("-", "_")}' in capsys.readouterr().err
 
 
 def test_kind_choices_come_from_the_hierarchy(capsys):
@@ -126,15 +186,50 @@ def test_kind_choices_come_from_the_hierarchy(capsys):
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
-def _readme_flag_defaults():
-    """``{config field: default cell}`` from the README flag reference."""
-    readme = Path(__file__).resolve().parents[1] / 'README.md'
-    table = {}
-    for line in readme.read_text().splitlines():
+README = Path(__file__).resolve().parents[1] / 'README.md'
+
+
+def _readme_flag_rows():
+    """``(flag, config field, default)`` cells of the README flag table."""
+    rows = []
+    for line in README.read_text().splitlines():
         cells = [cell.strip() for cell in line.strip().strip('|').split('|')]
         if len(cells) == 4 and cells[0].startswith('`--'):
-            table[cells[1].strip('`')] = cells[2]
-    return table
+            rows.append((cells[0], cells[1].strip('`'), cells[2]))
+    return rows
+
+
+def _readme_flag_defaults():
+    """``{config field: default cell}`` from the README flag reference."""
+    return {name: default for _, name, default in _readme_flag_rows()}
+
+
+def _flags_named(text):
+    """Option strings named in ``text``; ``--[no-]x`` names both forms."""
+    named = set()
+    for negatable, name in re.findall(r'(?<![\w-])--(\[no-\])?([a-z][\w-]*)',
+                                      text):
+        named.add('--' + name)
+        if negatable:
+            named.add('--no-' + name)
+    return named
+
+
+def test_readme_flag_section_matches_parser():
+    """The flag table has one row per config field naming exactly its flags,
+    and the command-line section names every parser option and no other."""
+    parser = _build_parser()
+    flags_of = {action.dest: set(action.option_strings)
+                for action in parser._actions}
+    rows = _readme_flag_rows()
+    assert sorted(name for _, name, _ in rows) == sorted(
+        f.name for cls in (SetupConfig, SolveConfig) for f in fields(cls))
+    for flag_cell, name, _ in rows:
+        assert _flags_named(flag_cell) == flags_of[name], name
+    section = README.read_text().split('\n## Benchmark command line\n')[1]
+    section = section.split('\n## ')[0]
+    options = set().union(*flags_of.values()) - {'-h', '--help'}
+    assert _flags_named(section) == options
 
 
 def test_readme_flag_defaults_match_configs():
@@ -304,7 +399,7 @@ def test_repeats_and_second_solve_controls(tmp_path):
     assert code == 0
     assert len(res['timings']['repeat_seconds']) == 3
     assert res['timings']['solve_seconds'] == res['timings']['repeat_seconds'][-1]
-    code, res = run_cli(tmp_path, '--n', '16', '--no-second-solve',
+    code, res = run_cli(tmp_path, '--n', '16', '--repeats', '0',
                         name='cold.json')
     assert code == 0
     assert res['timings']['repeat_seconds'] == []

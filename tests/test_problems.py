@@ -110,8 +110,7 @@ def test_2d_stencil_invariant_under_refinement():
 
 
 def test_rectangular_grid():
-    A, rhs = build_advection_2d(AdvectionProblem(nx=10, ny=3, vx=0.5, vy=0.5,
-                                                 Lx=1.0, Ly=832.0))
+    A, rhs = build_advection_2d(AdvectionProblem(nx=10, ny=3, vx=0.5, vy=0.5))
     assert A.nrows == 30 and len(rhs) == 30
 
 

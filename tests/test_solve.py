@@ -225,8 +225,7 @@ def test_rectangular_domain_solve():
     # resolution stretched in one dimension only; a lower-order coarse
     # polynomial with truncation keeps the hierarchy shallow
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    A, b = build_advection_2d(AdvectionProblem(nx=64, ny=256, vx=vx, vy=vy,
-                                               Lx=1.0, Ly=4.0))
+    A, b = build_advection_2d(AdvectionProblem(nx=64, ny=256, vx=vx, vy=vy))
     H = setup(A, SetupConfig(coarsest_poly_order=10))
     x, stats = richardson_solve(H, b, np.ones(A.nrows), SolveConfig())
     assert stats.converged and stats.iterations <= 12
