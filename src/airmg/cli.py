@@ -1,9 +1,10 @@
-"""Benchmark harness: build a problem, run setup and solve, emit results.
+"""Benchmark harness: build a problem, run setup and solve, write its record.
 
 Setup and solve flags are generated from the ``SetupConfig``/``SolveConfig``
 fields (``SETUP_FLAG_MAP``/``SOLVE_FLAG_MAP``); a flag that is not given
-leaves its field at the dataclass default.  A JSON record of the run is
-written to ``--output`` or stdout.  Exit codes: 0 converged, 1 configuration
+leaves its field at the dataclass default.  The JSON record of the run is its
+one result, written to ``--output`` or stdout; side files hold only what the
+record lacks (matrices, CF labels).  Exit codes: 0 converged, 1 configuration
 error, 2 non-convergence or divergence.
 """
 
@@ -15,19 +16,17 @@ import sys
 import time
 import typing
 from dataclasses import asdict, fields, replace
-from functools import reduce
-from operator import getitem
 
 import numpy as np
 
-from .hierarchy import (_COARSEST_INVERSE_TYPES, _INVERSE_TYPES, SETUP_PHASES,
-                        SetupConfig, hierarchy_summary, setup)
+from .hierarchy import (_COARSEST_INVERSE_TYPES, _INVERSE_TYPES, SetupConfig,
+                        hierarchy_summary, setup)
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
 from .sparse import write_matrix_market
 from .splitting import CFSplit, F_POINT, _dominance_ratios
 
-__all__ = ['main', 'run', 'emit_report', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
+__all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
 SCHEMA_VERSION = 5
 
@@ -78,15 +77,14 @@ def _build_parser():
                     'problems.')
     prob = p.add_argument_group('problem')
     prob.add_argument('--dim', type=int, choices=(1, 2), default=2)
-    prob.add_argument('--n', type=int, default=64,
-                      help='cells per dimension (square grid)')
+    prob.add_argument('--n', type=int, default=None,
+                      help='cells per dimension (square grid; default 64)')
     prob.add_argument('--nx', type=int, default=None)
     prob.add_argument('--ny', type=int, default=None)
     prob.add_argument('--vx', type=float, default=None)
     prob.add_argument('--vy', type=float, default=None)
     prob.add_argument('--angle', type=float, default=None,
-                      help='velocity angle in radians; takes precedence over '
-                           '--vx/--vy')
+                      help='velocity angle in radians, instead of --vx/--vy')
 
     su = p.add_argument_group('setup (maps 1:1 onto SetupConfig)')
     _add_config_flags(su, SetupConfig)
@@ -103,9 +101,6 @@ def _build_parser():
                           'identical settings')
     out.add_argument('--output', default=None, help='JSON result path '
                      '(default: stdout)')
-    out.add_argument('--residual-csv', default=None)
-    out.add_argument('--report-csv', default=None)
-    out.add_argument('--report-json', default=None)
     out.add_argument('--export-matrix', default=None,
                      help='write the problem matrix in Matrix Market format')
     out.add_argument('--dump-operators', default=None,
@@ -120,12 +115,14 @@ def _build_parser():
 def _refuse_overlaps(args):
     """Refuse a given flag that another given flag overrides or ignores: the
     paired run sets the kind and makes two runs, which one run's side files
-    cannot describe, and a 1-D problem has no y direction."""
+    cannot describe, a 1-D problem has no y direction, ``--angle`` sets both
+    velocities and ``--n`` both grid sizes."""
     for active, flag, names in (
             (args.compare_inverse_types, '--compare-inverse-types',
-             ('inverse_type', 'residual_csv', 'dump_operators',
-              'cf_diagnostics')),
-            (args.dim == 1, '--dim 1', ('ny', 'vy', 'angle'))):
+             ('inverse_type', 'dump_operators', 'cf_diagnostics')),
+            (args.dim == 1, '--dim 1', ('ny', 'vy', 'angle')),
+            (args.angle is not None, '--angle', ('vx', 'vy')),
+            (args.n is not None, '--n', ('nx', 'ny'))):
         given = [_flag(name) for name in names
                  if getattr(args, name, None) is not None]
         if active and given:
@@ -146,10 +143,11 @@ def _problem_from_args(args):
         vy = args.vy if args.vy is not None else 0.0
     else:
         vx, vy = float(np.cos(np.pi / 4)), float(np.sin(np.pi / 4))
-    nx = args.nx if args.nx is not None else args.n
+    n = args.n if args.n is not None else 64
+    nx = args.nx if args.nx is not None else n
     if args.dim == 1:
         return AdvectionProblem(nx=nx, ny=0, vx=vx, vy=0.0)
-    ny = args.ny if args.ny is not None else args.n
+    ny = args.ny if args.ny is not None else n
     return AdvectionProblem(nx=nx, ny=ny, vx=vx, vy=vy)
 
 
@@ -279,53 +277,9 @@ def run(args):
         _dump_operators(H, args.dump_operators)
     if args.cf_diagnostics:
         _write_cf_diagnostics(H, args.cf_diagnostics)
-    if args.residual_csv:
-        with open(args.residual_csv, 'w', newline='') as fh:
-            w = csv.writer(fh)
-            w.writerow(['iteration', 'residual_norm'])
-            for i, r in enumerate(stats.residual_history):
-                w.writerow([i, f'{r:.17g}'])
     if not stats.converged:
         exit_code = 2
     return exit_code, result
-
-
-# Each report column and the path of its value in a run record.
-_REPORT_PATHS = {
-    **{key: (section, key) for section, keys in (
-        ('problem', ('n', 'dim', 'nx', 'ny', 'vx', 'vy')),
-        ('setup_config', ('strong_threshold', 'poly_order', 'inverse_type')),
-        ('solve', ('iterations', 'converged')),
-        ('summary', ('num_levels', 'truncated_at', 'cycle_complexity',
-                     'storage_complexity', 'grid_complexity')),
-        ('timings', ('setup_seconds', 'solve_seconds'))) for key in keys},
-    **{f'setup_{phase}': ('timings', 'setup_breakdown', phase)
-       for phase in SETUP_PHASES},
-}
-REPORT_COLUMNS = list(_REPORT_PATHS)
-
-
-def _report_row(result):
-    return {column: reduce(getitem, path, result)
-            for column, path in _REPORT_PATHS.items()}
-
-
-def emit_report(results, csv_path=None, json_path=None):
-    """Flatten run records into report rows sorted by problem size and write
-    them as CSV and/or JSON.  Returns the rows."""
-    if not results:
-        raise ValueError('need at least one result record')
-    rows = sorted((_report_row(r) for r in results), key=lambda r: r['n'])
-    if csv_path:
-        with open(csv_path, 'w', newline='') as fh:
-            w = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-            w.writeheader()
-            w.writerows(rows)
-    if json_path:
-        with open(json_path, 'w') as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write('\n')
-    return rows
 
 
 def main(argv=None):
@@ -346,15 +300,6 @@ def main(argv=None):
                 fh.write(payload + '\n')
         else:
             print(payload)
-        if args.report_csv or args.report_json:
-            sources = ([result[k] for k in ('airg', 'nair')
-                        if isinstance(result.get(k), dict)
-                        and 'summary' in result.get(k, {})]
-                       if result.get('mode') == 'compare_inverse_types'
-                       else [result] if 'summary' in result else [])
-            if sources:
-                emit_report(sources, csv_path=args.report_csv,
-                            json_path=args.report_json)
     except OSError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 1

@@ -322,19 +322,16 @@ def _resolve_truncate_start(cfg, n_top):
     return int(np.ceil(np.log2(n_top / reach))) + 2
 
 
-def try_truncate(A, cfg, level, start_level=None):
+def try_truncate(A, cfg, level):
     """Tentative high-order coarse solver test for early truncation.
 
     Builds the coarse polynomial, applies it once matrix-free to an
     independent random right-hand side, and accepts (returning the solver)
     when the relative residual meets ``auto_truncate_tol``.  Construction
-    failures are logged and treated as "keep coarsening".  ``start_level``
-    defaults to the configured one, resolved against this matrix when the
-    config leaves it automatic.
+    failures are logged and treated as "keep coarsening".  ``setup`` decides
+    the levels at which it is called (``_resolve_truncate_start``).
     """
-    if start_level is None:
-        start_level = _resolve_truncate_start(cfg, A.nrows)
-    if cfg.auto_truncate_tol is None or level < start_level:
+    if cfg.auto_truncate_tol is None:
         return None
     try:
         solver = _build_coarse_solver(A, cfg, level)
@@ -380,12 +377,12 @@ def setup(A, cfg):
                          'building the coarse solver here',
                          cfg.max_levels, current.nrows)
             break
-        with _Timer(timings, 'truncation'):
-            coarse_solver = try_truncate(current, cfg, level,
-                                         start_level=truncate_start)
-        if coarse_solver is not None:
-            truncated_at = level
-            break
+        if level >= truncate_start:
+            with _Timer(timings, 'truncation'):
+                coarse_solver = try_truncate(current, cfg, level)
+            if coarse_solver is not None:
+                truncated_at = level
+                break
         with _Timer(timings, 'cf_split'):
             split, ddc_stats = cf_split(
                 current, cfg.strong_threshold, cfg.ddc_fraction, cfg.ddc_its,

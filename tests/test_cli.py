@@ -1,4 +1,4 @@
-"""Benchmark harness tests: flags, exit codes, result schema and reports."""
+"""Benchmark harness tests: flags, exit codes and the result record."""
 
 import csv
 import json
@@ -14,9 +14,10 @@ import pytest
 
 import airmg.cli
 from airmg import SetupConfig, SolveConfig, read_matrix_market, setup
-from airmg import AdvectionProblem, build_advection_2d
-from airmg.cli import (SETUP_FLAG_MAP, SOLVE_FLAG_MAP, emit_report, main,
-                       _build_parser, _config_from_args)
+from airmg import (AdvectionProblem, build_advection_1d, build_advection_2d,
+                   richardson_solve)
+from airmg.cli import (SETUP_FLAG_MAP, SOLVE_FLAG_MAP, main, _build_parser,
+                       _config_from_args)
 from airmg.hierarchy import _COARSEST_INVERSE_TYPES, _INVERSE_TYPES
 
 
@@ -150,6 +151,10 @@ def test_removed_flags_are_unknown():
     (['--dim', '1', '--angle', '1.2'],
      '--angle cannot be combined with --dim 1'),
     (['--repeats', '-1'], '--repeats must be non-negative'),
+    (['--angle', '0.5', '--vx', '1'], '--vx cannot be combined with --angle'),
+    (['--angle', '0.5', '--vy', '1'], '--vy cannot be combined with --angle'),
+    (['--nx', '8', '--ny', '8'], '--nx, --ny cannot be combined with --n'),
+    (['--dim', '1', '--nx', '100'], '--nx cannot be combined with --n'),
 ])
 def test_overriding_flags_are_refused(tmp_path, capsys, argv, message):
     code, res = run_cli(tmp_path, '--n', '16', *argv)
@@ -282,15 +287,33 @@ def test_json_deterministic_except_wall_times(tmp_path):
                                                            sort_keys=True)
 
 
-def test_residual_csv(tmp_path):
-    path = tmp_path / 'res.csv'
-    code = main(['--dim', '1', '--n', '64', '--strong-threshold', '0.5',
-                 '--poly-order', '1', '--residual-csv', str(path),
-                 '--output', str(tmp_path / 'o.json')])
+def test_grid_flags_without_n(tmp_path):
+    for argv, shape in ((['--nx', '8', '--ny', '4'], (8, 4)),
+                        (['--nx', '8'], (8, 64))):
+        code, res = run_cli(tmp_path, *argv)
+        assert code == 0
+        assert (res['problem']['nx'], res['problem']['ny']) == shape
+
+
+@pytest.mark.parametrize('argv, build, setup_cfg', [
+    (['--n', '24'],
+     lambda: build_advection_2d(AdvectionProblem(
+         nx=24, ny=24, vx=np.cos(np.pi / 4), vy=np.sin(np.pi / 4))),
+     SetupConfig()),
+    (['--dim', '1', '--n', '256', '--vx', '1', '--strong-threshold', '0.5',
+      '--poly-order', '1'],
+     lambda: (build_advection_1d(256, 1.0), np.zeros(256)),
+     SetupConfig(strong_threshold=0.5, poly_order=1)),
+])
+def test_record_residual_history_is_exact(tmp_path, argv, build, setup_cfg):
+    """The record's residual history is the library's, float for float."""
+    code, res = run_cli(tmp_path, *argv)
     assert code == 0
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ['iteration', 'residual_norm']
-    assert len(rows) >= 2
+    A, b = build()
+    _, stats = richardson_solve(setup(A, setup_cfg), b, np.ones(A.nrows),
+                                SolveConfig())
+    assert res['solve']['residual_history'] == [
+        float(r) for r in stats.residual_history]
 
 
 def test_export_matrix_roundtrip(tmp_path):
@@ -303,8 +326,7 @@ def test_export_matrix_roundtrip(tmp_path):
     assert A.nrows == 16 and A.nnz == 31
 
 
-@pytest.mark.parametrize('flag', ['--residual-csv', '--dump-operators',
-                                  '--cf-diagnostics'])
+@pytest.mark.parametrize('flag', ['--dump-operators', '--cf-diagnostics'])
 def test_compare_mode_rejects_side_file_flags(tmp_path, capsys, flag):
     target = tmp_path / 'side'
     code, res = run_cli(tmp_path, '--n', '16', '--compare-inverse-types',
@@ -364,34 +386,6 @@ def test_dump_operators_and_cf_diagnostics(tmp_path):
     assert {row[2] for row in labels[1:]} <= {'F', 'C'}
     hist = list(csv.reader((diag / 'ddc_ratio_histograms.csv').open()))
     assert hist[0] == ['level', 'bin_lo', 'bin_hi', 'count']
-
-
-def test_emit_report_single_record(tmp_path):
-    _, res = run_cli(tmp_path, '--n', '16')
-    csv_path = tmp_path / 'report.csv'
-    rows = emit_report([res], csv_path=str(csv_path))
-    assert len(rows) == 1
-    lines = list(csv.reader(csv_path.open()))
-    assert len(lines) == 2  # header + one data row
-    assert lines[0][0] == 'n'
-
-
-def test_emit_report_sorted_by_size(tmp_path):
-    records = []
-    for n in (48, 16, 32):
-        _, res = run_cli(tmp_path, '--n', str(n), name=f'r{n}.json')
-        records.append(res)
-    json_path = tmp_path / 'report.json'
-    rows = emit_report(records, json_path=str(json_path))
-    sizes = [r['n'] for r in rows]
-    assert sizes == sorted(sizes)
-    assert json.loads(json_path.read_text()) == json.loads(
-        json.dumps(rows, sort_keys=True))
-
-
-def test_emit_report_rejects_empty():
-    with pytest.raises(ValueError):
-        emit_report([])
 
 
 def test_repeats_and_second_solve_controls(tmp_path):

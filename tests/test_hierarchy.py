@@ -256,11 +256,19 @@ def test_try_truncate_threshold_semantics():
     assert try_truncate(A, reject, level) is None
 
 
-def test_try_truncate_respects_start_level():
-    A = SparseMatrix.identity(10)
-    cfg = SetupConfig(auto_truncate_start_level=3, coarsest_poly_order=2)
-    assert try_truncate(A, cfg, level=1) is None
-    assert try_truncate(A, cfg, level=3) is not None
+def test_try_truncate_respects_start_level(monkeypatch):
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
+    levels = []
+
+    def counting(A, cfg, level):
+        levels.append(level)
+        return try_truncate(A, cfg, level)
+
+    monkeypatch.setattr(hierarchy, 'try_truncate', counting)
+    setup(A, SetupConfig(auto_truncate_start_level=3))
+    assert levels and levels[0] == 3
+    assert levels == list(range(3, 3 + len(levels)))
 
 
 def test_truncation_rhs_differs_from_coefficient_rhs():
