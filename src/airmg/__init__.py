@@ -15,15 +15,15 @@ Typical use::
 """
 
 from .sparse import (SparseMatrix, validate, spmv, spgemm,
-                     spgemm_fixed_sparsity, extract, drop_and_lump, transpose,
-                     diagonal, read_matrix_market, write_matrix_market)
+                     spgemm_fixed_sparsity, extract, drop_and_lump, diagonal,
+                     read_matrix_market, write_matrix_market)
 from .problems import AdvectionProblem, build_advection_2d, build_advection_1d
 from .splitting import (F_POINT, C_POINT, StrengthGraph, CFSplit,
                         DDCPassStats, strength_graph, pmisr, ddc_pass,
                         cf_split)
 from .polynomial import (PolySolver, gmres_poly_arnoldi, gmres_poly_newton,
                          neumann_poly, apply_matrix_free,
-                         assemble_fixed_sparsity, export_diagnostics)
+                         assemble_fixed_sparsity)
 from .hierarchy import (SetupConfig, Level, Hierarchy, build_restriction,
                         build_prolongation, coarse_matrix, try_truncate,
                         setup, count_cycle_flops, hierarchy_summary)
@@ -34,13 +34,13 @@ __version__ = '0.1.0'
 
 __all__ = [
     'SparseMatrix', 'validate', 'spmv', 'spgemm', 'spgemm_fixed_sparsity',
-    'extract', 'drop_and_lump', 'transpose', 'diagonal',
+    'extract', 'drop_and_lump', 'diagonal',
     'read_matrix_market', 'write_matrix_market',
     'AdvectionProblem', 'build_advection_2d', 'build_advection_1d',
     'F_POINT', 'C_POINT', 'StrengthGraph', 'CFSplit', 'DDCPassStats',
     'strength_graph', 'pmisr', 'ddc_pass', 'cf_split',
     'PolySolver', 'gmres_poly_arnoldi', 'gmres_poly_newton', 'neumann_poly',
-    'apply_matrix_free', 'assemble_fixed_sparsity', 'export_diagnostics',
+    'apply_matrix_free', 'assemble_fixed_sparsity',
     'SetupConfig', 'Level', 'Hierarchy', 'build_restriction',
     'build_prolongation', 'coarse_matrix', 'try_truncate', 'setup',
     'count_cycle_flops', 'hierarchy_summary',

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -96,9 +96,6 @@ def _build_parser():
     out.add_argument('--repeats', type=int, default=1,
                      help='timed warm solves after the cold one; 0 reports '
                           'the cold solve')
-    out.add_argument('--compare-inverse-types', action='store_true',
-                     help='paired run: arnoldi (AIRG) vs neumann (nAIR) with '
-                          'identical settings')
     out.add_argument('--output', default=None, help='JSON result path '
                      '(default: stdout)')
     out.add_argument('--export-matrix', default=None,
@@ -113,13 +110,10 @@ def _build_parser():
 
 
 def _refuse_overlaps(args):
-    """Refuse a given flag that another given flag overrides or ignores: the
-    paired run sets the kind and makes two runs, which one run's side files
-    cannot describe, a 1-D problem has no y direction, ``--angle`` sets both
-    velocities and ``--n`` both grid sizes."""
+    """Refuse a given flag that another given flag overrides or ignores: a
+    1-D problem has no y direction, ``--angle`` sets both velocities and
+    ``--n`` both grid sizes."""
     for active, flag, names in (
-            (args.compare_inverse_types, '--compare-inverse-types',
-             ('inverse_type', 'dump_operators', 'cf_diagnostics')),
             (args.dim == 1, '--dim 1', ('ny', 'vy', 'angle')),
             (args.angle is not None, '--angle', ('vx', 'vy')),
             (args.n is not None, '--n', ('nx', 'ny'))):
@@ -192,19 +186,17 @@ def _write_cf_diagnostics(H, directory):
 
 
 def _single_run(problem, A, b, setup_cfg, solve_cfg, repeats):
-    # A new matrix object holds no cached scipy view, so setup is timed cold.
-    A = replace(A)
     x0 = np.ones(A.nrows)
     t0 = time.perf_counter()
     H = setup(A, setup_cfg)
     setup_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    x, stats = richardson_solve(H, b, x0, solve_cfg)
+    _, stats = richardson_solve(H, b, x0, solve_cfg)
     first_solve_seconds = time.perf_counter() - t0
     repeat_seconds = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        x, stats = richardson_solve(H, b, x0, solve_cfg)
+        _, stats = richardson_solve(H, b, x0, solve_cfg)
         repeat_seconds.append(time.perf_counter() - t0)
     solve_seconds = repeat_seconds[-1] if repeat_seconds else first_solve_seconds
     result = {
@@ -227,7 +219,7 @@ def _single_run(problem, A, b, setup_cfg, solve_cfg, repeats):
             'setup_breakdown': dict(H.setup_breakdown),
         },
     }
-    return H, x, stats, result
+    return H, stats, result
 
 
 def run(args):
@@ -247,29 +239,9 @@ def run(args):
     if args.export_matrix:
         write_matrix_market(A, args.export_matrix)
 
-    exit_code = 0
-    if args.compare_inverse_types:
-        results = {}
-        for label, kind in (('airg', 'arnoldi'), ('nair', 'neumann')):
-            cfg_k = replace(setup_cfg, inverse_type=kind)
-            try:
-                _, _, stats, res = _single_run(problem, A, b, cfg_k,
-                                               solve_cfg, args.repeats)
-            except DivergenceError as exc:
-                results[label] = {'diverged': True, 'error': str(exc),
-                                  'iteration': exc.iteration}
-                exit_code = 2
-                continue
-            results[label] = res
-            if not stats.converged:
-                exit_code = 2
-        result = {'schema_version': SCHEMA_VERSION,
-                  'mode': 'compare_inverse_types', **results}
-        return exit_code, result
-
     try:
-        H, x, stats, result = _single_run(problem, A, b, setup_cfg,
-                                          solve_cfg, args.repeats)
+        H, stats, result = _single_run(problem, A, b, setup_cfg, solve_cfg,
+                                       args.repeats)
     except DivergenceError as exc:
         return 2, {'schema_version': SCHEMA_VERSION, 'diverged': True,
                    'error': str(exc), 'iteration': exc.iteration}
@@ -277,9 +249,7 @@ def run(args):
         _dump_operators(H, args.dump_operators)
     if args.cf_diagnostics:
         _write_cf_diagnostics(H, args.cf_diagnostics)
-    if not stats.converged:
-        exit_code = 2
-    return exit_code, result
+    return (0 if stats.converged else 2), result
 
 
 def main(argv=None):

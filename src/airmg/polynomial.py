@@ -29,7 +29,6 @@ __all__ = [
     'neumann_poly',
     'apply_matrix_free',
     'assemble_fixed_sparsity',
-    'export_diagnostics',
 ]
 
 _BREAKDOWN_REL = 1e-14
@@ -504,19 +503,4 @@ def assemble_fixed_sparsity(p, A):
     out = SparseMatrix._from_scipy(acc)
     if p.kind == 'neumann':
         out = replace(out, values=out.values * p.diag_scale[out.col_indices])
-    return out
-
-
-def export_diagnostics(p):
-    """JSON-serialisable description of a polynomial solver."""
-    out = {
-        'kind': p.kind,
-        'order': p.order,
-        'effective_order': p.effective_order,
-        'coeffs': None if p.coeffs is None else [float(c) for c in p.coeffs],
-        'roots': None if p.roots is None else [[float(r.real), float(r.imag)]
-                                               for r in p.roots],
-        'generating_residual_history':
-            None if p.residual_history is None else list(p.residual_history),
-    }
     return out

@@ -42,7 +42,6 @@ __all__ = [
     'spgemm_fixed_sparsity',
     'extract',
     'drop_and_lump',
-    'transpose',
     'diagonal',
     'read_matrix_market',
     'write_matrix_market',
@@ -83,13 +82,10 @@ class SparseMatrix:
     values: np.ndarray
 
     @classmethod
-    def csr(cls, nrows, ncols, row_offsets, col_indices, values, check=True):
-        """Build from CSR arrays, validating canonical form unless ``check=False``."""
-        A = cls(int(nrows), int(ncols), _as_offsets(row_offsets),
-                _as_offsets(col_indices), _as_values(values))
-        if check:
-            validate(A)
-        return A
+    def csr(cls, nrows, ncols, row_offsets, col_indices, values):
+        """Build from CSR arrays, validating canonical form."""
+        return validate(cls(int(nrows), int(ncols), _as_offsets(row_offsets),
+                            _as_offsets(col_indices), _as_values(values)))
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, values):
@@ -113,7 +109,7 @@ class SparseMatrix:
             rows, cols = rows[starts], cols[starts]
         offsets = np.zeros(nrows + 1, dtype=_INDEX)
         np.cumsum(np.bincount(rows, minlength=nrows), out=offsets[1:])
-        return cls.csr(nrows, ncols, offsets, cols, values, check=False)
+        return cls.csr(nrows, ncols, offsets, cols, values)
 
     @classmethod
     def from_dense(cls, arr):
@@ -393,11 +389,6 @@ def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):
     return SparseMatrix(A.nrows, A.ncols, offsets,
                         np.insert(kept.col_indices, pos, insert),
                         np.insert(kept.values, pos, lumped[insert]))
-
-
-def transpose(A):
-    """Transpose in canonical CSR form."""
-    return SparseMatrix._from_scipy(A._scipy.T.tocsr())
 
 
 def diagonal(A):

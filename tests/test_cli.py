@@ -63,18 +63,6 @@ def test_record_holds_coarse_roots_and_convergence_factor(tmp_path):
         (h[-1] / h[0]) ** (1.0 / solve['iterations']), rel=1e-12)
 
 
-def test_compare_inverse_types_pairing(tmp_path):
-    code, res = run_cli(tmp_path, '--n', '48', '--compare-inverse-types',
-                        '--poly-order', '4', '--max-iters', '200')
-    assert code == 0
-    assert res['mode'] == 'compare_inverse_types'
-    airg = res['airg']['solve']['iterations']
-    nair = res['nair']['solve']['iterations']
-    assert res['airg']['setup_config']['inverse_type'] == 'arnoldi'
-    assert res['nair']['setup_config']['inverse_type'] == 'neumann'
-    assert nair >= airg
-
-
 def test_flag_maps_cover_configs_exactly():
     setup_fields = {f.name for f in fields(SetupConfig)}
     solve_fields = {f.name for f in fields(SolveConfig)}
@@ -138,13 +126,12 @@ def test_none_unsets_optional_fields(capsys):
 def test_removed_flags_are_unknown():
     for argv in (['--ddc-bins', '10'], ['--lx', '2'], ['--ly', '2'],
                  ['--no-auto-truncate'], ['--second-solve'],
-                 ['--no-second-solve']):
+                 ['--no-second-solve'], ['--compare-inverse-types']):
         assert main(['--n', '8', *argv]) == 1, argv
 
 
 @pytest.mark.parametrize('argv, message', [
-    (['--compare-inverse-types', '--inverse-type', 'neumann'],
-     '--inverse-type cannot be combined with --compare-inverse-types'),
+    (['--ny', '8'], '--ny cannot be combined with --n'),
     (['--dim', '1', '--ny', '9'], '--ny cannot be combined with --dim 1'),
     (['--dim', '1', '--vx', '1', '--vy', '5'],
      '--vy cannot be combined with --dim 1'),
@@ -326,17 +313,6 @@ def test_export_matrix_roundtrip(tmp_path):
     assert A.nrows == 16 and A.nnz == 31
 
 
-@pytest.mark.parametrize('flag', ['--dump-operators', '--cf-diagnostics'])
-def test_compare_mode_rejects_side_file_flags(tmp_path, capsys, flag):
-    target = tmp_path / 'side'
-    code, res = run_cli(tmp_path, '--n', '16', '--compare-inverse-types',
-                        flag, str(target))
-    assert code == 1 and res is None
-    assert not target.exists()
-    assert (f'error: {flag} cannot be combined with --compare-inverse-types'
-            in capsys.readouterr().err)
-
-
 def test_system_is_built_once_per_run(tmp_path, monkeypatch):
     built = []
     real = airmg.cli._build_system
@@ -346,12 +322,29 @@ def test_system_is_built_once_per_run(tmp_path, monkeypatch):
         return real(problem)
 
     monkeypatch.setattr(airmg.cli, '_build_system', counting)
-    code, res = run_cli(tmp_path, '--n', '16', '--compare-inverse-types',
+    code, res = run_cli(tmp_path, '--n', '16',
                         '--export-matrix', str(tmp_path / 'A.mtx'))
     assert code == 0
     assert len(built) == 1
     assert read_matrix_market(tmp_path / 'A.mtx').nrows == 16 * 16
-    assert res['airg']['problem']['n'] == res['nair']['problem']['n'] == 256
+    assert res['problem']['n'] == 256
+
+
+@pytest.mark.parametrize('extra', [[], ['--export-matrix', 'A.mtx']])
+def test_setup_is_timed_cold(tmp_path, monkeypatch, extra):
+    # The matrix reaches setup without a cached scipy view, also after the
+    # export has written it.
+    seen = []
+
+    def cold_setup(A, cfg):
+        assert '_scipy' not in vars(A)
+        seen.append(A.nrows)
+        return setup(A, cfg)
+
+    monkeypatch.setattr(airmg.cli, 'setup', cold_setup)
+    monkeypatch.chdir(tmp_path)
+    code, res = run_cli(tmp_path, '--n', '16', *extra)
+    assert code == 0 and seen == [256]
 
 
 def test_record_holds_ddc_passes(tmp_path):

@@ -18,8 +18,7 @@ from airmg import (PolySolver, SparseMatrix, apply_matrix_free,
 from airmg.polynomial import (_SCALE_LIMIT, _arnoldi, _group_conjugate_units,
                               _harmonic_ritz, _leja_order, _log_distances,
                               _poly_apply_flops, _random_unit_vector,
-                              _residual_history, _with_added_roots,
-                              export_diagnostics)
+                              _residual_history, _with_added_roots)
 
 
 def dense_gmres_residual(A_dense, b, m):
@@ -410,16 +409,6 @@ def test_f_block_polynomial_residual_matches_gmres_on_advection():
         want = dense_gmres_residual(A_ff.to_dense(), b, 6)
         got = generating_residual(p, A_ff, seed)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
-
-
-def test_export_diagnostics_schema():
-    A = SparseMatrix.from_dense(np.diag([1.0, 2.0]))
-    p = gmres_poly_arnoldi(A, order=1, seed=0)
-    d = export_diagnostics(p)
-    assert d['kind'] == 'arnoldi_coeff'
-    assert isinstance(d['coeffs'], list)
-    assert d['roots'] is None
-    assert len(d['generating_residual_history']) >= 1
 
 
 @pytest.mark.parametrize('order', [0, 2, 6, 10])

@@ -11,8 +11,7 @@ from scipy.sparse import _compressed
 from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
                    build_advection_2d, diagonal, drop_and_lump, extract,
                    read_matrix_market, richardson_solve, setup, spgemm,
-                   spgemm_fixed_sparsity, spmv, transpose, validate,
-                   write_matrix_market)
+                   spgemm_fixed_sparsity, spmv, validate, write_matrix_market)
 from airmg import sparse
 from airmg.sparse import _spgemm_numeric
 
@@ -343,20 +342,6 @@ def test_drop_and_lump_keep_diagonal_false_thresholds_every_entry():
                       keep_diagonal=False)
 
 
-def test_transpose_identity():
-    got = transpose(SparseMatrix.identity(4))
-    assert np.array_equal(got.to_dense(), np.eye(4))
-
-
-def test_transpose_involution_bit_identical():
-    rng = np.random.default_rng(19)
-    A = random_sparse(rng, 7, 7, 0.4)
-    back = transpose(transpose(A))
-    assert np.array_equal(back.values, A.values)
-    assert np.array_equal(back.col_indices, A.col_indices)
-    assert np.array_equal(back.row_offsets, A.row_offsets)
-
-
 def test_diagonal_of_strictly_lower_triangular():
     A = SparseMatrix.from_dense(np.tril(np.ones((5, 5)), -1))
     assert np.array_equal(diagonal(A), np.zeros(5))
@@ -420,6 +405,18 @@ def test_matrix_market_rejects_other_formats(tmp_path):
         read_matrix_market(path)
     path.write_text('%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n')
     with pytest.raises(ValueError):
+        read_matrix_market(path)
+
+
+def test_outside_input_must_be_finite(tmp_path):
+    with pytest.raises(ValueError, match='finite'):
+        SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, np.nan])
+    with pytest.raises(ValueError, match='finite'):
+        SparseMatrix.from_dense([[1.0, 0.0], [np.inf, 2.0]])
+    path = tmp_path / 'nan.mtx'
+    path.write_text('%%MatrixMarket matrix coordinate real general\n'
+                    '2 2 2\n1 1 nan\n2 1 inf\n')
+    with pytest.raises(ValueError, match='finite'):
         read_matrix_market(path)
 
 
