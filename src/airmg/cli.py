@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .hierarchy import (_COARSEST_INVERSE_TYPES, _INVERSE_TYPES, SetupConfig,
-                        hierarchy_summary, setup)
+                        build_prolongation, hierarchy_summary, setup)
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
 from .sparse import write_matrix_market
@@ -28,7 +28,7 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # Each config field is one flag, ``--field-name``, except ``lump``, which keeps
 # its documented name; boolean fields get paired --flag/--no-flag options, and
@@ -158,10 +158,11 @@ def _dump_operators(H, directory):
     write_matrix_market(H.coarsest_A, os.path.join(directory,
                                                    'coarsest_A.mtx'))
     for idx, L in enumerate(H.levels):
-        for name in ('R', 'P', 'A_ff', 'A_fc'):
-            write_matrix_market(getattr(L, name),
-                                os.path.join(directory,
-                                             f'level{idx}_{name}.mtx'))
+        ops = {'R': L.R, 'P': build_prolongation(L.A_fc, L.split),
+               'A_ff': L.A_ff, 'A_fc': L.A_fc}
+        for name, op in ops.items():
+            write_matrix_market(op, os.path.join(directory,
+                                                 f'level{idx}_{name}.mtx'))
 
 
 def _write_cf_diagnostics(H, directory):

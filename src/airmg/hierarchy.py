@@ -8,8 +8,9 @@ The split comes back repaired for the one-point prolongator; each split
 block is extracted once, by ``build_restriction``, and ``P`` uses ``A_fc``.
 Once a high-order tentative coarse polynomial can solve the current level to
 a loose tolerance the hierarchy is truncated there.  After the coarse matrix
-is formed only ``A_ff``, ``A_fc``, ``R`` and ``P`` are retained per level, as
-the cycle performs fine-point smoothing only.
+is formed only ``A_ff``, ``A_fc`` and ``R`` are retained per level: the cycle
+smooths fine points only and never applies ``P``, which, like the level
+matrix, is an intermediate of the Galerkin product.
 """
 
 import logging
@@ -85,7 +86,6 @@ class SetupConfig:
     coarsest_poly_order: int = 100
     coarsest_inverse_type: str = 'newton'
     auto_truncate_tol: float | None = 0.1
-    auto_truncate_start_level: int | None = None
     max_levels: int = 100
     min_coarse_size: int = 16
     seed: int = 0
@@ -121,10 +121,6 @@ class SetupConfig:
                 and not 0.0 <= self.auto_truncate_tol < math.inf):
             raise ValueError('auto_truncate_tol must be finite and '
                              'non-negative, or None')
-        if (self.auto_truncate_start_level is not None
-                and self.auto_truncate_start_level < 0):
-            raise ValueError('auto_truncate_start_level must be non-negative '
-                             'or None for the a priori estimate')
         if self.max_levels < 1:
             raise ValueError('max_levels must be at least 1')
         if self.min_coarse_size < 1:
@@ -152,13 +148,13 @@ class Level:
     """Operators retained for the solve on one reduction level.
 
     ``R`` is ``n_c x n`` acting on vectors in the level's fine ordering (its
-    C columns form an identity, its F columns hold ``Z``); ``P`` is
-    ``n x n_c`` with unit C rows and one-point F rows.  ``nnz_A`` records the
+    C columns form an identity, its F columns hold ``Z``).  The one-point
+    prolongator is not kept: the cycle never applies it, and
+    ``build_prolongation(A_fc, split)`` rebuilds it.  ``nnz_A`` records the
     size of the level matrix before it was discarded.
     """
 
     R: SparseMatrix
-    P: SparseMatrix
     A_ff: SparseMatrix
     A_fc: SparseMatrix
     f_smoother: PolySolver
@@ -182,7 +178,6 @@ class Hierarchy:
     storage_complexity: float = 0.0
     grid_complexity: float = 0.0
     truncated_at: int = None
-    config: SetupConfig = None
     setup_breakdown: dict = field(default_factory=dict)
 
     @property
@@ -305,17 +300,13 @@ def _build_coarse_solver(A, cfg, level):
 
 
 def _resolve_truncate_start(cfg, n_top):
-    """Start level for truncation testing.
-
-    When the config leaves it unset, estimate a priori from the problem size
-    and the coarsening-rate bound of two: at least ``log2(n/reach)`` levels
-    must pass before the remaining size can be within the coarse
-    polynomial's reach (``coarsest_poly_order + 1`` Krylov directions, where
-    the tentative solver is close to exact), plus two levels of margin since
-    observed coarsening is slower than the bound.
+    """Start level for truncation testing, estimated a priori from the
+    problem size and the coarsening-rate bound of two: at least
+    ``log2(n/reach)`` levels must pass before the remaining size can be
+    within the coarse polynomial's reach (``coarsest_poly_order + 1`` Krylov
+    directions, where the tentative solver is close to exact), plus two
+    levels of margin since observed coarsening is slower than the bound.
     """
-    if cfg.auto_truncate_start_level is not None:
-        return cfg.auto_truncate_start_level
     reach = cfg.coarsest_poly_order + 1
     if n_top <= reach:
         return 0
@@ -354,8 +345,8 @@ def setup(A, cfg):
     Per level: stop if the matrix is small enough (or the level budget is
     exhausted); otherwise test truncation when eligible, split, build the
     restriction/prolongation pair and the Galerkin coarse matrix, and
-    descend.  Intermediate level matrices are released once their coarse
-    matrix exists; only the top and coarsest matrices are retained.
+    descend.  Prolongators and intermediate level matrices are released once
+    used; only the top and coarsest matrices are retained.
     """
     cfg.validate()
     if A.nrows != A.ncols:
@@ -398,7 +389,7 @@ def setup(A, cfg):
             P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(current, R, P, cfg, timings=timings)
         levels.append(Level(
-            R=R, P=P, A_ff=A_ff, A_fc=A_fc, f_smoother=smoother, split=split,
+            R=R, A_ff=A_ff, A_fc=A_fc, f_smoother=smoother, split=split,
             n=current.nrows, nnz_A=current.nnz,
             f_smoother_assembled=None if cfg.matrix_free_polys else assembled,
             ddc_stats=tuple(ddc_stats)))
@@ -409,11 +400,11 @@ def setup(A, cfg):
             coarse_solver = _build_coarse_solver(current, cfg, level)
     H = Hierarchy(levels=levels, coarsest_A=current,
                   coarse_solver=coarse_solver, top_A=A,
-                  truncated_at=truncated_at, config=cfg,
+                  truncated_at=truncated_at,
                   setup_breakdown=timings)
     retained = 0
     for L in H.levels:
-        retained += L.A_ff.nnz + L.A_fc.nnz + L.R.nnz + L.P.nnz
+        retained += L.A_ff.nnz + L.A_fc.nnz + L.R.nnz
         if L.f_smoother_assembled is not None:
             retained += L.f_smoother_assembled.nnz
     H.storage_complexity = (retained + A.nnz + H.coarsest_A.nnz) / A.nnz
@@ -478,7 +469,6 @@ def hierarchy_summary(H):
             'nnz_A_ff': int(L.A_ff.nnz),
             'nnz_A_fc': int(L.A_fc.nnz),
             'nnz_R': int(L.R.nnz),
-            'nnz_P': int(L.P.nnz),
             'smoother_kind': L.f_smoother.kind,
             'smoother_order': int(L.f_smoother.order),
             'smoother_effective_order': int(L.f_smoother.effective_order),

@@ -9,6 +9,10 @@ so that sparsity patterns stay composable; setup's internal products
 Beyond that only ``drop_and_lump`` removes entries.  All indices are 0-based
 64-bit integers.
 
+Setup never calls ``spgemm`` or its counting product ``_pattern_matrix``; they
+stay as the structural reference that the bitwise setup tests compare against,
+and the benchmark's tracer wraps ``sparse.spgemm`` by name.
+
 Setup builds CSR in one of three ways: a scipy result (a product, a sum of
 disjoint blocks, an elementwise mask) becomes canonical in
 ``SparseMatrix._from_scipy``; a subset of a matrix's stored entries is taken

@@ -127,15 +127,15 @@ def _luby_weights(degrees, seed):
     return rng.random(len(degrees)) + degrees / (degrees + 1.0)
 
 
-def pmisr(graph, seed, max_luby_loops=None):
+def pmisr(graph, seed):
     """Luby-style maximal independent set on the closure pattern ``graph``;
     the independent set becomes the F points, its complement the C points.
 
     Each round runs on the edges with two undecided ends.  A node is beaten
     by a neighbour of higher weight, or of equal weight and lower index; an
     unbeaten node joins F, its neighbours become C, and edges with a decided
-    end are dropped.  With ``max_luby_loops=None`` the rounds run until all
-    nodes are decided (F is then maximal); nodes undecided after a cap are C.
+    end are dropped.  The rounds run until all nodes are decided, so F is
+    maximal.
     """
     n, degrees = graph.n, np.diff(graph.row_offsets)
     weights = _luby_weights(degrees.astype(np.float64), seed)
@@ -145,8 +145,7 @@ def pmisr(graph, seed, max_luby_loops=None):
     upper = np.flatnonzero(graph.col_indices > lo)
     lo, hi = lo[upper], graph.col_indices[upper]
     state = np.full(n, _UNDECIDED, dtype=np.int8)
-    cap, rounds = max_luby_loops, 0
-    while (cap is None or rounds < cap) and np.any(state == _UNDECIDED):
+    while np.any(state == _UNDECIDED):
         beaten = state != _UNDECIDED
         beaten[np.where(weights[lo] >= weights[hi], hi, lo)] = True
         state[np.flatnonzero(~beaten)] = _FINE
@@ -155,7 +154,6 @@ def pmisr(graph, seed, max_luby_loops=None):
         live = np.flatnonzero((state[lo] == _UNDECIDED)
                               & (state[hi] == _UNDECIDED))
         lo, hi = lo[live], hi[live]
-        rounds += 1
     labels = np.where(state == _FINE, F_POINT, C_POINT).astype(np.int8)
     return CFSplit.from_labels(labels)
 

@@ -18,6 +18,7 @@ from airmg import (AdvectionProblem, build_advection_1d, build_advection_2d,
                    richardson_solve)
 from airmg.cli import (SETUP_FLAG_MAP, SOLVE_FLAG_MAP, main, _build_parser,
                        _config_from_args)
+from airmg import hierarchy
 from airmg.hierarchy import _COARSEST_INVERSE_TYPES, _INVERSE_TYPES
 
 
@@ -43,7 +44,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 5
+    assert res['schema_version'] == 6
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
@@ -114,11 +115,9 @@ def test_generated_flags_set_their_fields(cls, flag_map):
 
 def test_none_unsets_optional_fields(capsys):
     parser = _build_parser()
-    args = parser.parse_args(['--auto-truncate-tol', 'none',
-                              '--auto-truncate-start-level', 'none'])
+    args = parser.parse_args(['--auto-truncate-tol', 'none'])
     cfg = _config_from_args(args, SetupConfig)
     assert cfg.auto_truncate_tol is None
-    assert cfg.auto_truncate_start_level is None
     assert main(['--n', '8', '--auto-truncate-tol', 'None']) == 1
     assert "invalid float value: 'None'" in capsys.readouterr().err
 
@@ -126,7 +125,8 @@ def test_none_unsets_optional_fields(capsys):
 def test_removed_flags_are_unknown():
     for argv in (['--ddc-bins', '10'], ['--lx', '2'], ['--ly', '2'],
                  ['--no-auto-truncate'], ['--second-solve'],
-                 ['--no-second-solve'], ['--compare-inverse-types']):
+                 ['--no-second-solve'], ['--compare-inverse-types'],
+                 ['--auto-truncate-start-level', '3']):
         assert main(['--n', '8', *argv]) == 1, argv
 
 
@@ -222,6 +222,12 @@ def test_readme_flag_section_matches_parser():
     section = section.split('\n## ')[0]
     options = set().union(*flags_of.values()) - {'-h', '--help'}
     assert _flags_named(section) == options
+
+
+def test_readme_schema_heading_names_the_schema_version():
+    headings = re.findall(r'^### Result schema \(version (\d+)\)$',
+                          README.read_text(), flags=re.MULTILINE)
+    assert headings == [str(airmg.cli.SCHEMA_VERSION)]
 
 
 def test_readme_flag_defaults_match_configs():
@@ -374,11 +380,35 @@ def test_dump_operators_and_cf_diagnostics(tmp_path):
     assert (ops / 'top_A.mtx').exists()
     assert (ops / 'coarsest_A.mtx').exists()
     assert (ops / 'level0_R.mtx').exists()
+    assert (ops / 'level0_P.mtx').exists()
     labels = list(csv.reader((diag / 'cf_labels.csv').open()))
     assert labels[0] == ['level', 'node', 'label']
     assert {row[2] for row in labels[1:]} <= {'F', 'C'}
     hist = list(csv.reader((diag / 'ddc_ratio_histograms.csv').open()))
     assert hist[0] == ['level', 'bin_lo', 'bin_hi', 'count']
+
+
+def test_dumped_prolongators_are_the_ones_setup_used(tmp_path, monkeypatch):
+    # The hierarchy keeps no P; the dump rebuilds it from A_fc and the split.
+    used = []
+    build = hierarchy.build_prolongation
+
+    def recording(A_fc, split):
+        used.append(build(A_fc, split))
+        return used[-1]
+
+    monkeypatch.setattr(hierarchy, 'build_prolongation', recording)
+    ops = tmp_path / 'ops'
+    code, res = run_cli(tmp_path, '--n', '32', '--dump-operators', str(ops))
+    assert code == 0
+    assert len(used) == res['summary']['num_levels'] > 0
+    assert not (ops / f'level{len(used)}_P.mtx').exists()
+    for k, P in enumerate(used):
+        got = read_matrix_market(ops / f'level{k}_P.mtx')
+        assert (got.nrows, got.ncols) == (P.nrows, P.ncols)
+        assert np.array_equal(got.row_offsets, P.row_offsets)
+        assert np.array_equal(got.col_indices, P.col_indices)
+        assert np.array_equal(got.values, P.values)
 
 
 def test_repeats_and_second_solve_controls(tmp_path):

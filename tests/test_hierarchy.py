@@ -168,7 +168,7 @@ def test_prolongation_unit_rows_inside_setup():
     A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=0.9, vy=0.1))
     H = setup(A, SetupConfig(auto_truncate_tol=None, min_coarse_size=30))
     for L in H.levels:
-        P = L.P.to_dense()
+        P = build_prolongation(L.A_fc, L.split).to_dense()
         for j, row_idx in enumerate(L.split.c_set):
             row = P[row_idx]
             assert row[j] == 1.0 and np.count_nonzero(row) == 1
@@ -218,8 +218,7 @@ def test_coarse_matrix_zero_drop_keeps_everything():
 
 def test_try_truncate_identity_succeeds():
     A = SparseMatrix.identity(40)
-    cfg = SetupConfig(coarsest_poly_order=4, auto_truncate_tol=0.1,
-                      auto_truncate_start_level=0)
+    cfg = SetupConfig(coarsest_poly_order=4, auto_truncate_tol=0.1)
     solver = try_truncate(A, cfg, level=0)
     assert solver is not None
     b = np.arange(1.0, 41.0)
@@ -228,8 +227,7 @@ def test_try_truncate_identity_succeeds():
 
 def test_try_truncate_small_spectrum_succeeds():
     A = SparseMatrix.from_dense(np.diag(np.arange(1.0, 6.0)))
-    cfg = SetupConfig(coarsest_poly_order=10, auto_truncate_tol=0.1,
-                      auto_truncate_start_level=0)
+    cfg = SetupConfig(coarsest_poly_order=10, auto_truncate_tol=0.1)
     assert try_truncate(A, cfg, level=0) is not None
 
 
@@ -238,8 +236,6 @@ def test_try_truncate_threshold_semantics():
     A = build_advection_1d(150, 1.0)
     order = 40
     level = 0
-    cfg0 = SetupConfig(coarsest_poly_order=order, auto_truncate_tol=0.5,
-                       auto_truncate_start_level=0, seed=0)
     solver = gmres_poly_newton(A, order,
                                _derive_seed(0, level, _SEED_COARSE_POLY))
     rhs = _random_unit_vector(A.nrows, _derive_seed(0, level, _SEED_TRUNC_RHS))
@@ -247,11 +243,9 @@ def test_try_truncate_threshold_semantics():
     res = np.linalg.norm(rhs - spmv(A, x)) / np.linalg.norm(rhs)
     assert 1e-12 < res < 0.5  # nontrivial residual for the bracket
     accept = SetupConfig(coarsest_poly_order=order,
-                         auto_truncate_tol=res * (1 + 1e-9),
-                         auto_truncate_start_level=0, seed=0)
+                         auto_truncate_tol=res * (1 + 1e-9), seed=0)
     reject = SetupConfig(coarsest_poly_order=order,
-                         auto_truncate_tol=res * (1 - 1e-9),
-                         auto_truncate_start_level=0, seed=0)
+                         auto_truncate_tol=res * (1 - 1e-9), seed=0)
     assert try_truncate(A, accept, level) is not None
     assert try_truncate(A, reject, level) is None
 
@@ -266,9 +260,10 @@ def test_try_truncate_respects_start_level(monkeypatch):
         return try_truncate(A, cfg, level)
 
     monkeypatch.setattr(hierarchy, 'try_truncate', counting)
-    setup(A, SetupConfig(auto_truncate_start_level=3))
-    assert levels and levels[0] == 3
-    assert levels == list(range(3, 3 + len(levels)))
+    setup(A, SetupConfig())
+    start = _resolve_truncate_start(SetupConfig(), A.nrows)
+    assert levels and levels[0] == start
+    assert levels == list(range(start, start + len(levels)))
 
 
 def test_truncation_rhs_differs_from_coefficient_rhs():
@@ -286,8 +281,6 @@ def test_truncate_start_level_estimate():
     cfg = SetupConfig(coarsest_poly_order=100)
     assert _resolve_truncate_start(cfg, 50) == 0
     assert _resolve_truncate_start(cfg, 65536) == int(np.ceil(np.log2(65536 / 101))) + 2
-    pinned = SetupConfig(auto_truncate_start_level=7)
-    assert _resolve_truncate_start(pinned, 10**6) == 7
 
 
 def test_setup_diagonal_matrix_single_level():
@@ -334,7 +327,8 @@ def test_default_drops_leave_the_1d_chain_alone():
     assert hist_def == hist_off
     assert len(H_def.levels) == len(H_off.levels)
     for got, want in zip(H_def.levels, H_off.levels):
-        for name in ('R', 'P', 'A_ff', 'A_fc'):
+        assert np.array_equal(got.split.labels, want.split.labels)
+        for name in ('R', 'A_ff', 'A_fc'):
             _assert_same_bits(getattr(got, name), getattr(want, name))
     _assert_same_bits(H_def.coarsest_A, H_off.coarsest_A)
 
@@ -368,7 +362,7 @@ def test_setup_storage_complexity_recomputable_from_summary():
     for mf in (True, False):
         H = setup(A, SetupConfig(matrix_free_polys=mf))
         s = hierarchy_summary(H)
-        retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_R'] + l['nnz_P']
+        retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_R']
                        + (l['nnz_smoother_assembled'] or 0)
                        for l in s['levels'])
         expected = (retained + s['nnz_top'] + s['coarsest']['nnz']) / s['nnz_top']
@@ -477,7 +471,7 @@ def test_setup_operators_stay_canonical():
     validate(H.top_A)
     validate(H.coarsest_A)
     for L in H.levels:
-        for op in (L.R, L.P, L.A_ff, L.A_fc):
+        for op in (L.R, build_prolongation(L.A_fc, L.split), L.A_ff, L.A_fc):
             validate(op)
 
 
@@ -496,8 +490,7 @@ def test_hierarchy_level_chain_consistent():
         assert lower.n == upper.split.n_c
         assert upper.R.nrows == upper.split.n_c
         assert upper.R.ncols == upper.n
-        assert upper.P.nrows == upper.n
-        assert upper.P.ncols == upper.split.n_c
+        assert upper.A_fc.ncols == upper.split.n_c
     assert H.coarsest_A.nrows == H.levels[-1].split.n_c
 
 

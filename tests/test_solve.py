@@ -164,7 +164,7 @@ def test_truncated_hierarchy_fewer_levels_higher_complexity():
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, b = build_advection_2d(AdvectionProblem(nx=64, ny=64, vx=vx, vy=vy))
     full = setup(A, SetupConfig(auto_truncate_tol=None))
-    truncated = setup(A, SetupConfig(auto_truncate_start_level=4))
+    truncated = setup(A, SetupConfig())
     assert truncated.truncated_at is not None
     assert len(truncated.levels) < len(full.levels)
     assert truncated.cycle_complexity > full.cycle_complexity

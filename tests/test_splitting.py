@@ -35,7 +35,7 @@ def reference_closure(A, theta):
     return S | S.T
 
 
-def reference_pmisr(graph, seed, max_luby_loops=None, weights=None):
+def reference_pmisr(graph, seed, weights=None):
     """The sort-based PMISR that the edge-list form replaced, kept as its
     reference: the weights become dense ranks through ``np.lexsort`` (exact
     ties to the lower index) and every round sweeps the whole closure.
@@ -51,13 +51,9 @@ def reference_pmisr(graph, seed, max_luby_loops=None, weights=None):
     ranks[order] = np.arange(n, dtype=np.int64)
     undecided_, fine, coarse = 0, 1, 2
     state = np.full(n, undecided_, dtype=np.int8)
-    loops = 0
     while True:
         undecided = state == undecided_
         if not undecided.any():
-            break
-        if max_luby_loops is not None and loops >= max_luby_loops:
-            state[undecided] = coarse
             break
         contender = np.where(undecided[cols], ranks[cols], -1)
         best = np.full(n, -1.0)
@@ -66,7 +62,6 @@ def reference_pmisr(graph, seed, max_luby_loops=None, weights=None):
         state[new_f] = fine
         blocked = cols[new_f[row_of]]
         state[blocked[state[blocked] == undecided_]] = coarse
-        loops += 1
     return np.where(state == fine, F_POINT, C_POINT).astype(np.int8)
 
 
@@ -116,7 +111,7 @@ def permuted(A, seed):
                                  inv[A.col_indices], A.values)
 
 
-def check_independent_and_maximal(closure_dense, labels, require_maximal=True):
+def check_independent_and_maximal(closure_dense, labels):
     """Brute-force graph oracle for the F set."""
     n = len(labels)
     f = np.flatnonzero(labels == F_POINT)
@@ -124,11 +119,10 @@ def check_independent_and_maximal(closure_dense, labels, require_maximal=True):
         for j in f:
             if i != j:
                 assert closure_dense[i, j] == 0, 'two adjacent F points'
-    if require_maximal:
-        for i in np.flatnonzero(labels == C_POINT):
-            neighbours = np.flatnonzero(closure_dense[i])
-            assert np.any(labels[neighbours] == F_POINT), \
-                f'C point {i} could join the independent set'
+    for i in np.flatnonzero(labels == C_POINT):
+        neighbours = np.flatnonzero(closure_dense[i])
+        assert np.any(labels[neighbours] == F_POINT), \
+            f'C point {i} could join the independent set'
 
 
 def test_strength_diagonal_matrix_empty_graph():
@@ -241,18 +235,6 @@ def test_pmisr_random_matrices_independent():
                                       split.labels)
 
 
-def test_pmisr_loop_cap_marks_rest_coarse():
-    n = 40
-    A = build_advection_1d(n, 1.0)
-    G = strength_graph(A, 0.5)
-    split = pmisr(G, seed=2, max_luby_loops=1)
-    # still independent, but maximality may fail; leftovers became C
-    check_independent_and_maximal(closure_dense(G),
-                                  split.labels, require_maximal=False)
-    full = pmisr(G, seed=2)
-    assert split.n_f <= full.n_f
-
-
 def test_pmisr_deterministic():
     A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=0.6, vy=0.4))
     G = strength_graph(A, 0.5)
@@ -261,8 +243,7 @@ def test_pmisr_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
-@pytest.mark.parametrize('max_luby_loops', [None, 0, 1, 2])
-def test_pmisr_matches_sort_based_reference(max_luby_loops):
+def test_pmisr_matches_sort_based_reference():
     rng = np.random.default_rng(41)
     advection, _ = build_advection_2d(AdvectionProblem(nx=20, ny=20,
                                                        vx=0.6, vy=0.8))
@@ -272,9 +253,9 @@ def test_pmisr_matches_sort_based_reference(max_luby_loops):
         for theta in (0.0, 0.3, 0.99):
             G = strength_graph(A, theta)
             for seed in range(3):
-                split = pmisr(G, seed, max_luby_loops=max_luby_loops)
-                assert np.array_equal(
-                    split.labels, reference_pmisr(G, seed, max_luby_loops))
+                split = pmisr(G, seed)
+                assert np.array_equal(split.labels,
+                                      reference_pmisr(G, seed))
 
 
 def test_pmisr_equal_weights_go_to_lower_index(monkeypatch):
