@@ -22,7 +22,7 @@ for n in (64, 1024, 4096):
 
     rng = np.random.default_rng(n)
     b = rng.uniform(-1.0, 1.0, n)
-    e = vcycle(H, 0, b, SolveConfig())
+    e = vcycle(H, 0, b)
     one_cycle = np.linalg.norm(b - spmv(A, e)) / np.linalg.norm(b)
     print(f'           one V-cycle residual reduction: {one_cycle:.2e}')
 

@@ -28,7 +28,7 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # Each config field is one flag, ``--field-name``, except ``lump``, which keeps
 # its documented name; boolean fields get paired --flag/--no-flag options, and

@@ -23,8 +23,8 @@ import numpy as np
 from .polynomial import (PolySolver, _poly_apply_flops, _random_unit_vector,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
-from .sparse import (SparseMatrix, _row_index, _row_max, _spgemm_numeric,
-                     drop_and_lump, extract, spmv)
+from .sparse import (SparseMatrix, _add, _row_index, _row_max,
+                     _spgemm_numeric, drop_and_lump, extract, spmv)
 from .splitting import CFSplit, cf_split
 
 __all__ = [
@@ -60,10 +60,11 @@ def _derive_seed(root, level, role):
 class SetupConfig:
     """Hierarchy construction parameters.
 
-    The benchmark's command-line flags are generated from the fields.  The
-    trailing block (``smooth_type`` onward) exposes variants that this solver
-    deliberately does not implement; ``validate`` rejects any non-default
-    value there with a clear error.
+    The benchmark's command-line flags are generated from the fields.
+    ``smooth_type`` holds one ``'f'`` per up-cycle F-point smooth (``'ff'``
+    smooths twice).  Its other letters (C-point and FCF smoothing) and the
+    fields after it name variants that this solver deliberately does not
+    implement; ``validate`` rejects them with a clear error.
 
     ``a_drop`` filters each coarse matrix (dropped entries are lumped onto
     the diagonal when ``lump``); ``r_drop`` filters the ``Z`` block of ``R``
@@ -127,10 +128,10 @@ class SetupConfig:
             raise ValueError('min_coarse_size must be at least 1')
         if self.seed < 0:
             raise ValueError('seed must be non-negative')
-        if self.smooth_type != 'f':
+        if not self.smooth_type or self.smooth_type.strip('f'):
             raise ValueError("only fine-point smoothing is supported "
-                             "(smooth_type='f'); C-point and FCF smoothing "
-                             "are not implemented")
+                             "(smooth_type 'f', 'ff', ...); C-point and FCF "
+                             "smoothing are not implemented")
         if not self.one_point_classical_prolong:
             raise ValueError('approximate ideal prolongation is not '
                              'implemented; only the one-point classical '
@@ -167,13 +168,15 @@ class Level:
 
 @dataclass
 class Hierarchy:
-    """The complete multigrid: per-level operators plus the coarsest matrix,
-    its polynomial solver, and the global complexity metrics."""
+    """The complete multigrid: per-level operators, the F-point smooths per
+    level of a cycle, the coarsest matrix and its polynomial solver, and the
+    global complexity metrics."""
 
     levels: list
     coarsest_A: SparseMatrix
     coarse_solver: PolySolver
     top_A: SparseMatrix
+    f_smooths: int = 1
     cycle_complexity: float = 0.0
     storage_complexity: float = 0.0
     grid_complexity: float = 0.0
@@ -231,13 +234,13 @@ def build_restriction(A, split, cfg, level=0, timings=None):
         Z = drop_and_lump(Z, cfg.r_drop, lump=False, keep_diagonal=False)
     with _Timer(timings, 'spgemm_R'):
         # Z stores no zeros and ``f`` is increasing, so its block is canonical
-        # in the level's ordering and the scipy sum with the disjoint unit C
-        # block drops nothing.
+        # in the level's ordering and the sum with the disjoint unit C block
+        # drops nothing.
         n_c = len(c)
         z_block = replace(Z, ncols=A.nrows, col_indices=f[Z.col_indices])
         c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=np.int64),
                                c, np.ones(n_c))
-        R = SparseMatrix._from_scipy(z_block._scipy + c_block._scipy)
+        R = _add(z_block, c_block)
     return R, A_ff, A_fc, smoother, assembled
 
 
@@ -400,7 +403,7 @@ def setup(A, cfg):
             coarse_solver = _build_coarse_solver(current, cfg, level)
     H = Hierarchy(levels=levels, coarsest_A=current,
                   coarse_solver=coarse_solver, top_A=A,
-                  truncated_at=truncated_at,
+                  f_smooths=len(cfg.smooth_type), truncated_at=truncated_at,
                   setup_breakdown=timings)
     retained = 0
     for L in H.levels:
@@ -414,28 +417,23 @@ def setup(A, cfg):
     return H
 
 
-def _smooth_flops(level):
-    if level.f_smoother_assembled is not None:
-        return 2 * level.f_smoother_assembled.nnz
-    n_f = len(level.split.f_set)
-    return _poly_apply_flops(level.f_smoother, level.A_ff.nnz, n_f)
-
-
-def count_cycle_flops(H, f_smooth_its=1):
-    """Deterministic FLOP count of one V-cycle.
+def count_cycle_flops(H):
+    """Deterministic FLOP count of one V-cycle as ``solve.vcycle`` runs it.
 
     Cost model: an SpMV with ``nnz`` stored entries costs ``2*nnz``; a vector
     scale/axpy/elementwise update producing ``n`` entries costs ``2*n``;
     copies, scatters and gathers are free.  Per level this covers the
-    restriction SpMV, the cached ``A_fc e_c`` product, ``f_smooth_its``
-    fine-point smooths (the first exploits the zero initial error), the free
-    merge, and at the bottom one coarse polynomial application:
+    restriction SpMV, the cached ``A_fc e_c`` product, the ``H.f_smooths``
+    fine-point smooths (one per letter of ``smooth_type``; the first exploits
+    the zero initial error), the free merge, and at the bottom one coarse
+    polynomial application:
 
     * restriction: ``2*nnz(R)``
     * coarse-coupling cache: ``2*nnz(A_fc)``
     * first smooth: ``2*n_f`` (residual combine) + one smoother application
-    * each further smooth: ``2*nnz(A_ff) + 4*n_f`` (residual combine)
-      + one smoother application + ``2*n_f`` (error update)
+    * each of the ``H.f_smooths - 1`` further smooths: ``2*nnz(A_ff) +
+      4*n_f`` (residual combine) + one smoother application + ``2*n_f``
+      (error update)
     * matrix-free smoother application of degree ``d``: ``2*n + d*(2*nnz +
       2*n)`` for coefficient form, ``2*n + d*(2*nnz + 6*n)`` for the Neumann
       series, ``2*nnz + 4*n`` per real root and ``4*nnz + 10*n`` per
@@ -445,11 +443,14 @@ def count_cycle_flops(H, f_smooth_its=1):
     total = 0
     for L in H.levels:
         n_f = len(L.split.f_set)
-        smooth = _smooth_flops(L)
+        if L.f_smoother_assembled is not None:
+            smooth = 2 * L.f_smoother_assembled.nnz
+        else:
+            smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
         total += 2 * L.R.nnz + 2 * L.A_fc.nnz
         total += 2 * n_f + smooth
-        total += (f_smooth_its - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth
-                                       + 2 * n_f)
+        total += (H.f_smooths - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth
+                                      + 2 * n_f)
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
                                H.coarsest_A.nrows)
     return int(total)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparse import SparseMatrix, _row_index, diagonal, spgemm_fixed_sparsity, spmv
+from .sparse import (SparseMatrix, _add, _masked_power_sum, _row_index,
+                     diagonal, spmv)
 
 __all__ = [
     'PolySolver',
@@ -55,7 +56,6 @@ class PolySolver:
     coeffs: np.ndarray = None
     roots: np.ndarray = None
     diag_scale: np.ndarray = None
-    residual_history: tuple = None
 
 
 def _random_unit_vector(n, seed):
@@ -108,15 +108,6 @@ def _arnoldi(A, b, m):
     if np.max(np.abs(H[:k + 1, :k])) == 0.0:
         raise ValueError('matrix is numerically zero on the Krylov space')
     return V[:k + 1], H[:k + 1, :k], k, beta
-
-
-def _gmres_lsq(H, k, beta):
-    """Least-squares GMRES correction and residual norm at step ``k``."""
-    rhs = np.zeros(H.shape[0])
-    rhs[0] = beta
-    y, *_ = np.linalg.lstsq(H[:k + 1, :k], rhs[:k + 1], rcond=None)
-    res = np.linalg.norm(rhs[:k + 1] - H[:k + 1, :k] @ y)
-    return y, res
 
 
 def _residual_history(H, k, beta):
@@ -182,11 +173,12 @@ def gmres_poly_arnoldi(A, order, seed):
     noise = eps * np.maximum.accumulate(growth) * beta
     achievable = np.maximum(history, noise)
     k_use = int(np.argmin(achievable)) + 1
-    y, _ = _gmres_lsq(H, k_use, beta)
+    rhs = np.zeros(k_use + 1)
+    rhs[0] = beta
+    y, *_ = np.linalg.lstsq(H[:k_use + 1, :k_use], rhs, rcond=None)
     coeffs = (C[:k_use, :k_use] @ y) / beta
     return PolySolver(kind='arnoldi_coeff', order=order,
-                      effective_order=k_use - 1, coeffs=coeffs,
-                      residual_history=history)
+                      effective_order=k_use - 1, coeffs=coeffs)
 
 
 def _harmonic_ritz(H, k):
@@ -327,7 +319,7 @@ def gmres_poly_newton(A, order, seed):
     if order < 1:
         raise ValueError('order must be at least 1')
     b = _random_unit_vector(A.nrows, seed)
-    _, H, k, beta = _arnoldi(A, b, order + 1)
+    _, H, k, _ = _arnoldi(A, b, order + 1)
     theta, k = _harmonic_ritz(H, k)
     if np.any(np.abs(theta) == 0):
         raise ValueError('zero harmonic Ritz value; residual polynomial '
@@ -336,8 +328,7 @@ def gmres_poly_newton(A, order, seed):
     leja = _leja_order(lead, paired)
     roots = _with_added_roots(lead[leja], paired[leja], _ADDED_ROOT_TOL)
     return PolySolver(kind='newton_roots', order=order, effective_order=k - 1,
-                      roots=roots,
-                      residual_history=_residual_history(H, k, beta))
+                      roots=roots)
 
 
 def neumann_poly(A, order):
@@ -480,27 +471,17 @@ def assemble_fixed_sparsity(p, A):
                          'forms only, not newton_roots')
     if A.nrows != A.ncols:
         raise ValueError('require a square matrix')
-    eye = SparseMatrix.identity(A.nrows)._scipy
-    pattern = SparseMatrix._from_scipy(
-        eye + replace(A, values=np.ones(A.nnz))._scipy)
+    eye = SparseMatrix.identity(A.nrows)
+    pattern = _add(eye, replace(A, values=np.ones(A.nnz)))
     if p.kind == 'arnoldi_coeff':
-        coeffs = p.coeffs
         base = A
     elif p.kind == 'neumann':
-        coeffs = p.coeffs
         # Series in N = I - D^-1 A, right-scaled by D^-1 at the end.
-        scaled = replace(A, values=-p.diag_scale[_row_index(A)] * A.values)
-        base = SparseMatrix._from_scipy(eye + scaled._scipy)
+        base = _add(eye, replace(
+            A, values=-p.diag_scale[_row_index(A)] * A.values))
     else:
         raise ValueError(f'unknown polynomial kind {p.kind!r}')
-    acc = coeffs[0] * eye
-    if len(coeffs) > 1:
-        acc = acc + coeffs[1] * base._scipy
-    power = base
-    for k in range(2, len(coeffs)):
-        power = spgemm_fixed_sparsity(power, base, pattern)
-        acc = acc + coeffs[k] * power._scipy
-    out = SparseMatrix._from_scipy(acc)
+    out = _masked_power_sum(p.coeffs, base, pattern)
     if p.kind == 'neumann':
         out = replace(out, values=out.values * p.diag_scale[out.col_indices])
     return out

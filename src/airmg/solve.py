@@ -34,14 +34,12 @@ class SolveConfig:
     """Outer-iteration controls.
 
     ``rtol`` is relative to ``||b||`` when nonzero, otherwise to the initial
-    residual.  ``f_smooth_its`` counts fine-point smoothing applications per
-    level per cycle.
+    residual.  The smooths per cycle are set by ``SetupConfig.smooth_type``.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-50
     max_iters: int = 100
-    f_smooth_its: int = 1
 
     def validate(self):
         if not 0.0 < self.rtol < math.inf:
@@ -50,8 +48,6 @@ class SolveConfig:
             raise ValueError('atol must be finite and non-negative')
         if self.max_iters < 1:
             raise ValueError('max_iters must be at least 1')
-        if self.f_smooth_its < 1:
-            raise ValueError('f_smooth_its must be at least 1')
         return self
 
 
@@ -94,17 +90,17 @@ def _smooth_apply(level, residual_f):
     return apply_matrix_free(level.f_smoother, level.A_ff, residual_f)
 
 
-def vcycle(H, level, r, cfg):
+def vcycle(H, level, r):
     """Error estimate for ``A_level e = r`` from one V-cycle recursion."""
     if level == len(H.levels):
         return apply_matrix_free(H.coarse_solver, H.coarsest_A, r)
     L = H.levels[level]
     r_coarse = spmv(L.R, r)
-    e_c = vcycle(H, level + 1, r_coarse, cfg)
+    e_c = vcycle(H, level + 1, r_coarse)
     r_f = r[L.split.f_set]
     t = spmv(L.A_fc, e_c)
     e_f = _smooth_apply(L, r_f - t)
-    for _ in range(cfg.f_smooth_its - 1):
+    for _ in range(H.f_smooths - 1):
         e_f = e_f + _smooth_apply(L, r_f - t - spmv(L.A_ff, e_f))
     e = np.zeros(L.n)
     e[L.split.f_set] = e_f
@@ -147,7 +143,7 @@ def richardson_solve(H, b, x0, cfg):
     converged = rnorm <= threshold
     iterations = 0
     while not converged and iterations < cfg.max_iters:
-        x += vcycle(H, 0, r, cfg)
+        x += vcycle(H, 0, r)
         r = b - spmv(A, x)
         rnorm = float(np.linalg.norm(r))
         iterations += 1
@@ -162,6 +158,5 @@ def richardson_solve(H, b, x0, cfg):
         converged = rnorm <= threshold
     stats = SolveStats(iterations=iterations, residual_history=history,
                        converged=converged,
-                       flops_per_cycle=count_cycle_flops(
-                           H, f_smooth_its=cfg.f_smooth_its))
+                       flops_per_cycle=count_cycle_flops(H))
     return x, stats

@@ -13,11 +13,12 @@ Setup never calls ``spgemm`` or its counting product ``_pattern_matrix``; they
 stay as the structural reference that the bitwise setup tests compare against,
 and the benchmark's tracer wraps ``sparse.spgemm`` by name.
 
-Setup builds CSR in one of three ways: a scipy result (a product, a sum of
-disjoint blocks, an elementwise mask) becomes canonical in
-``SparseMatrix._from_scipy``; a subset of a matrix's stored entries is taken
-by ``_keep_entries``; operators with one entry per row (the one-point
-prolongator) are written directly.  ``SparseMatrix.from_coo`` sorts and sums
+Setup builds CSR in one of three ways: a scipy result (a product, a sum from
+``_add``, a masked power sum from ``_masked_power_sum``, an elementwise mask)
+becomes canonical in ``SparseMatrix._from_scipy``, which no other module
+calls; a subset of a matrix's stored entries is taken by ``_keep_entries``;
+operators with one entry per row (the one-point prolongator) are written
+directly.  ``SparseMatrix.from_coo`` sorts and sums
 coordinate triplets and is meant for outside input, such as test problems and
 Matrix Market files.
 
@@ -271,6 +272,25 @@ def _spgemm_numeric(A, B):
     pattern would only add work and stored zeros.
     """
     return SparseMatrix._from_scipy(A._scipy @ B._scipy)
+
+
+def _add(A, B):
+    """``A + B`` from one scipy sum; exact cancellations are not stored."""
+    return SparseMatrix._from_scipy(A._scipy + B._scipy)
+
+
+def _masked_power_sum(coeffs, base, pattern):
+    """``sum_k coeffs[k] * base^k``, summed left to right in scipy; exact
+    cancellations are not stored.  Each power past ``base`` is the previous
+    one times ``base`` kept to ``pattern``, formed by ``spgemm_fixed_sparsity``
+    under its module name, so a tracer that rebinds the name sees each one."""
+    acc = coeffs[0] * SparseMatrix.identity(base.nrows)._scipy
+    power = base
+    for k in range(1, len(coeffs)):
+        if k > 1:
+            power = spgemm_fixed_sparsity(power, base, pattern)
+        acc = acc + coeffs[k] * power._scipy
+    return SparseMatrix._from_scipy(acc)
 
 
 def spgemm(A, B):

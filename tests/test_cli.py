@@ -44,7 +44,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 6
+    assert res['schema_version'] == 7
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
@@ -88,7 +88,7 @@ def _non_default(f):
     if f.type is str:
         choices = {'inverse_type': _INVERSE_TYPES,
                    'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
-        return next(c for c in choices.get(f.name, ('c',)) if c != f.default)
+        return next(c for c in choices.get(f.name, ('ff',)) if c != f.default)
     return _base_type(f)(3 if f.default is None else f.default + 1)
 
 
@@ -255,6 +255,32 @@ def test_config_error_exit_code(tmp_path):
 
 def test_unknown_flag_exit_code():
     assert main(['--does-not-exist', '3']) == 1
+
+
+def test_cycle_complexity_counts_the_configured_smooths(tmp_path):
+    # The record's cycle complexity describes the cycle the solve ran: it is
+    # the solve's flops per cycle over one top-grid SpMV.
+    complexities = []
+    for smooth_type in ('f', 'ff', 'fff'):
+        code, res = run_cli(tmp_path, '--n', '32', '--smooth-type',
+                            smooth_type)
+        assert code == 0
+        summary, solve = res['summary'], res['solve']
+        assert (summary['cycle_complexity'] * 2 * summary['nnz_top']
+                == solve['flops_per_cycle'])
+        assert res['setup_config']['smooth_type'] == smooth_type
+        assert 'f_smooth_its' not in res['solve_config']
+        complexities.append(summary['cycle_complexity'])
+    assert complexities == sorted(set(complexities))
+
+
+def test_smooth_count_is_a_setup_setting(tmp_path, capsys):
+    assert main(['--n', '8', '--f-smooth-its', '2']) == 1
+    assert 'unrecognized arguments' in capsys.readouterr().err
+    for smooth_type in ('c', 'fc', ''):
+        code, _ = run_cli(tmp_path, '--n', '8', '--smooth-type', smooth_type)
+        assert code == 1
+        assert 'C-point and FCF smoothing' in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_code(tmp_path):

@@ -300,7 +300,7 @@ def test_setup_cyclic_reduction_limit_single_cycle():
         assert L.A_ff.nnz == L.A_ff.nrows  # diagonal every level
     rng = np.random.default_rng(42)
     b = rng.uniform(-1, 1, 1024)
-    e = vcycle(H, 0, b, SolveConfig())
+    e = vcycle(H, 0, b)
     assert np.linalg.norm(b - spmv(A, e)) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -416,8 +416,10 @@ def test_setup_max_levels_warning(caplog):
 
 
 def test_setup_config_rejects_unimplemented_variants():
-    with pytest.raises(ValueError, match='smoothing'):
-        SetupConfig(smooth_type='fcf').validate()
+    for smooth_type in ('fcf', 'c', 'fc', ''):
+        with pytest.raises(ValueError, match='C-point and FCF smoothing'):
+            SetupConfig(smooth_type=smooth_type).validate()
+    assert SetupConfig(smooth_type='fff').validate().smooth_type == 'fff'
     with pytest.raises(ValueError, match='prolong'):
         SetupConfig(one_point_classical_prolong=False).validate()
     with pytest.raises(ValueError, match='improve'):

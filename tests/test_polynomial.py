@@ -7,14 +7,18 @@ coefficient form, and the assembled form against dense masked-power oracles.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from airmg import polynomial, sparse
 from airmg import (PolySolver, SparseMatrix, apply_matrix_free,
                    assemble_fixed_sparsity, build_advection_1d,
                    build_advection_2d, AdvectionProblem, cf_split, extract,
-                   gmres_poly_arnoldi, gmres_poly_newton, neumann_poly, spmv)
+                   gmres_poly_arnoldi, gmres_poly_newton, neumann_poly,
+                   spgemm_fixed_sparsity, spmv)
+from airmg.sparse import _row_index
 from airmg.polynomial import (_SCALE_LIMIT, _arnoldi, _group_conjugate_units,
                               _harmonic_ritz, _leja_order, _log_distances,
                               _poly_apply_flops, _random_unit_vector,
@@ -363,7 +367,6 @@ def test_assemble_tridiagonal_masked_oracle():
         power[~pattern] = 0.0
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
     got_pattern = assemble_fixed_sparsity(p, A)
-    from airmg.sparse import _row_index
     inside = pattern[_row_index(got_pattern), got_pattern.col_indices]
     assert np.all(inside)
 
@@ -387,6 +390,58 @@ def test_assemble_neumann_masked_oracle():
         power[~pattern] = 0.0
     expected = expected * dinv[None, :]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def scipy_loop_assembly(p, A):
+    """The fixed-sparsity assembly as one scipy loop: identity and powers
+    summed left to right, each power past the first masked to ``I + A``."""
+    eye = SparseMatrix.identity(A.nrows)._scipy
+    unit = SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                        np.ones(A.nnz))
+    pattern = SparseMatrix._from_scipy(eye + unit._scipy)
+    base = A
+    if p.kind == 'neumann':
+        scaled = SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                              -p.diag_scale[_row_index(A)] * A.values)
+        base = SparseMatrix._from_scipy(eye + scaled._scipy)
+    acc = p.coeffs[0] * eye
+    power = base
+    for k in range(1, len(p.coeffs)):
+        if k > 1:
+            power = spgemm_fixed_sparsity(power, base, pattern)
+        acc = acc + p.coeffs[k] * power._scipy
+    out = SparseMatrix._from_scipy(acc)
+    if p.kind == 'neumann':
+        out = SparseMatrix(out.nrows, out.ncols, out.row_offsets,
+                           out.col_indices,
+                           out.values * p.diag_scale[out.col_indices])
+    return out
+
+
+def test_assemble_bitwise_equals_scipy_loop_and_traces_each_power(
+        monkeypatch):
+    # Every masked power goes through ``spgemm_fixed_sparsity`` by its name
+    # in ``sparse``, so a tracer that rebinds the name sees each one.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spgemm_fixed_sparsity(*args)
+
+    A = random_dd_matrix(np.random.default_rng(40), 30, density=0.2)
+    monkeypatch.setattr(sparse, 'spgemm_fixed_sparsity', counting)
+    for p in (gmres_poly_arnoldi(A, 0, seed=1), gmres_poly_arnoldi(A, 1, seed=1),
+              gmres_poly_arnoldi(A, 6, seed=1), neumann_poly(A, 0),
+              neumann_poly(A, 5)):
+        calls.clear()
+        got = assemble_fixed_sparsity(p, A)
+        assert len(calls) == max(len(p.coeffs) - 2, 0)
+        want = scipy_loop_assembly(p, A)
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_indices, want.col_indices)
+        assert np.array_equal(got.values.view(np.uint64),
+                              want.values.view(np.uint64))
+    assert len(gmres_poly_arnoldi(A, 6, seed=1).coeffs) > 3
 
 
 def test_assemble_rejects_newton():
@@ -680,7 +735,20 @@ def test_newton_build_makes_no_least_squares_call(monkeypatch):
     A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=vx, vy=vy))
     monkeypatch.setattr(np.linalg, 'lstsq', refuse)
     p = gmres_poly_newton(A, order=100, seed=3)
-    assert len(p.residual_history) == p.effective_order + 1
+    assert len(p.roots) >= p.effective_order + 1
+
+
+def test_newton_build_runs_no_residual_sweep(monkeypatch):
+    # The Givens sweep only picks the Arnoldi kind's degree; no solver keeps
+    # a residual history.
+    def refuse(*_):
+        raise AssertionError('the Newton build must not run the sweep')
+
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=vx, vy=vy))
+    monkeypatch.setattr(polynomial, '_residual_history', refuse)
+    gmres_poly_newton(A, order=100, seed=3)
+    assert 'residual_history' not in {f.name for f in fields(PolySolver)}
 
 
 def test_arnoldi_build_makes_one_least_squares_call(monkeypatch):

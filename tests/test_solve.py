@@ -29,7 +29,7 @@ def test_vcycle_single_level_identity_returns_residual():
     A = SparseMatrix.identity(12)
     H = single_level_hierarchy(A)
     r = np.linspace(-1, 1, 12)
-    assert np.allclose(vcycle(H, 0, r, SolveConfig()), r, rtol=1e-14)
+    assert np.allclose(vcycle(H, 0, r), r, rtol=1e-14)
 
 
 def test_vcycle_direct_solver_limit_1d():
@@ -38,7 +38,7 @@ def test_vcycle_direct_solver_limit_1d():
                              auto_truncate_tol=None))
     rng = np.random.default_rng(50)
     r = rng.uniform(-1, 1, 256)
-    e = vcycle(H, 0, r, SolveConfig())
+    e = vcycle(H, 0, r)
     assert np.linalg.norm(r - spmv(A, e)) <= 1e-12 * np.linalg.norm(r)
 
 
@@ -150,14 +150,15 @@ def test_cycle_flops_hand_audit_single_level():
 
 def test_cycle_flops_increase_with_smoothing():
     A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16, vx=0.6, vy=0.8))
-    H = setup(A, SetupConfig(auto_truncate_tol=None))
-    one = count_cycle_flops(H, f_smooth_its=1)
-    two = count_cycle_flops(H, f_smooth_its=2)
-    assert two > one
-    _, stats = richardson_solve(H, np.zeros(A.nrows), np.ones(A.nrows),
-                                SolveConfig(f_smooth_its=2, max_iters=50))
+    one = setup(A, SetupConfig(auto_truncate_tol=None))
+    two = setup(A, SetupConfig(auto_truncate_tol=None, smooth_type='ff'))
+    assert (one.f_smooths, two.f_smooths) == (1, 2)
+    assert count_cycle_flops(two) > count_cycle_flops(one)
+    assert two.cycle_complexity > one.cycle_complexity
+    _, stats = richardson_solve(two, np.zeros(A.nrows), np.ones(A.nrows),
+                                SolveConfig(max_iters=50))
     assert stats.converged
-    assert stats.flops_per_cycle == two
+    assert stats.flops_per_cycle == count_cycle_flops(two)
 
 
 def test_truncated_hierarchy_fewer_levels_higher_complexity():
@@ -191,7 +192,7 @@ def test_vcycle_callable_at_inner_level():
     n1 = H.levels[1].n
     rng = np.random.default_rng(8)
     r = rng.uniform(-1, 1, n1)
-    e = vcycle(H, 1, r, SolveConfig())
+    e = vcycle(H, 1, r)
     assert len(e) == n1 and np.all(np.isfinite(e))
 
 
@@ -275,7 +276,5 @@ def test_solve_bitwise_deterministic():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(max_iters=0).validate()
-    with pytest.raises(ValueError):
-        SolveConfig(f_smooth_its=0).validate()
     with pytest.raises(ValueError):
         SolveConfig(atol=-1.0).validate()

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -97,7 +98,8 @@ def test_setup_and_solve_do_not_use_scipy_matvec_dispatch(monkeypatch):
 
 def test_only_sparse_module_imports_scipy():
     """One module owns the sparse backend: only ``sparse.py`` imports scipy,
-    and scipy's private ``_sparsetools`` is named nowhere else."""
+    and scipy's private ``_sparsetools``, the cached ``_scipy`` views and
+    ``SparseMatrix._from_scipy`` are named nowhere else."""
     src = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'airmg'
     modules = sorted(src.glob('*.py'))
     assert any(path.name == 'sparse.py' for path in modules)
@@ -115,6 +117,7 @@ def test_only_sparse_module_imports_scipy():
         else:
             assert not uses_scipy, path.name
             assert '_sparsetools' not in text, path.name
+            assert not re.search(r'\b_(from_)?scipy\b', text), path.name
 
 
 def test_spgemm_identity_left_bit_identical():
