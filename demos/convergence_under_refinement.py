@@ -7,7 +7,7 @@ level, an order-100 Newton-form coarse solver with automatic truncation, and
 the default drop tolerances on the coarse matrices and on ``R``.  The
 undamped Richardson iteration count barely moves as the grid is refined.
 Cycle complexity stays near 16-17 (16.3, 16.1, 17.0 from 64^2 to 256^2);
-storage complexity still grows slowly (6.8, 7.8, 8.6).  With
+storage complexity still grows slowly (5.99, 6.94, 7.70).  With
 ``a_drop=1e-6, r_drop=0`` both grow with the grid (cycle complexity 19.2,
 22.7, 26.6).
 """

@@ -19,8 +19,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .hierarchy import (_COARSEST_INVERSE_TYPES, _INVERSE_TYPES, SetupConfig,
-                        build_prolongation, hierarchy_summary, setup)
+from .hierarchy import (SetupConfig, build_prolongation, hierarchy_summary,
+                        setup)
+from .polynomial import COEFF_KINDS, POLY_KINDS
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
 from .sparse import write_matrix_market
@@ -28,18 +29,16 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
-# Each config field is one flag, ``--field-name``, except ``lump``, which keeps
-# its documented name; boolean fields get paired --flag/--no-flag options, and
-# an ``X | None`` field also takes the literal ``none``.
-_FLAG_NAME_EXCEPTIONS = {'lump': '--a-lump'}
-_CHOICES = {'inverse_type': _INVERSE_TYPES,
-            'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
+# Each config field is one flag, ``--field-name``; boolean fields get paired
+# --flag/--no-flag options, and an ``X | None`` field also takes the literal
+# ``none``.
+_CHOICES = {'inverse_type': COEFF_KINDS, 'coarsest_inverse_type': POLY_KINDS}
 
 
 def _flag(name):
-    return _FLAG_NAME_EXCEPTIONS.get(name, '--' + name.replace('_', '-'))
+    return '--' + name.replace('_', '-')
 
 
 SETUP_FLAG_MAP = {_flag(f.name): f.name for f in fields(SetupConfig)}
@@ -77,14 +76,10 @@ def _build_parser():
                     'problems.')
     prob = p.add_argument_group('problem')
     prob.add_argument('--dim', type=int, choices=(1, 2), default=2)
-    prob.add_argument('--n', type=int, default=None,
+    prob.add_argument('--n', type=int, default=64,
                       help='cells per dimension (square grid; default 64)')
-    prob.add_argument('--nx', type=int, default=None)
-    prob.add_argument('--ny', type=int, default=None)
     prob.add_argument('--vx', type=float, default=None)
     prob.add_argument('--vy', type=float, default=None)
-    prob.add_argument('--angle', type=float, default=None,
-                      help='velocity angle in radians, instead of --vx/--vy')
 
     su = p.add_argument_group('setup (maps 1:1 onto SetupConfig)')
     _add_config_flags(su, SetupConfig)
@@ -98,8 +93,6 @@ def _build_parser():
                           'the cold solve')
     out.add_argument('--output', default=None, help='JSON result path '
                      '(default: stdout)')
-    out.add_argument('--export-matrix', default=None,
-                     help='write the problem matrix in Matrix Market format')
     out.add_argument('--dump-operators', default=None,
                      help='directory for per-level operator Matrix Market '
                           'dumps')
@@ -109,40 +102,24 @@ def _build_parser():
     return p
 
 
-def _refuse_overlaps(args):
-    """Refuse a given flag that another given flag overrides or ignores: a
-    1-D problem has no y direction, ``--angle`` sets both velocities and
-    ``--n`` both grid sizes."""
-    for active, flag, names in (
-            (args.dim == 1, '--dim 1', ('ny', 'vy', 'angle')),
-            (args.angle is not None, '--angle', ('vx', 'vy')),
-            (args.n is not None, '--n', ('nx', 'ny'))):
-        given = [_flag(name) for name in names
-                 if getattr(args, name, None) is not None]
-        if active and given:
-            raise ValueError(f'{", ".join(given)} cannot be combined with '
-                             f'{flag}')
-
-
 def _config_from_args(args, cls):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)
                   if hasattr(args, f.name)})
 
 
 def _problem_from_args(args):
-    if args.angle is not None:
-        vx, vy = float(np.cos(args.angle)), float(np.sin(args.angle))
-    elif args.vx is not None or args.vy is not None:
+    """The velocity is at pi/4 unless ``--vx`` or ``--vy`` is given; then a
+    component not given is 0.  A 1-D problem has no y direction."""
+    if args.vx is None and args.vy is None:
+        vx, vy = float(np.cos(np.pi / 4)), float(np.sin(np.pi / 4))
+    else:
         vx = args.vx if args.vx is not None else 0.0
         vy = args.vy if args.vy is not None else 0.0
-    else:
-        vx, vy = float(np.cos(np.pi / 4)), float(np.sin(np.pi / 4))
-    n = args.n if args.n is not None else 64
-    nx = args.nx if args.nx is not None else n
     if args.dim == 1:
-        return AdvectionProblem(nx=nx, ny=0, vx=vx, vy=0.0)
-    ny = args.ny if args.ny is not None else n
-    return AdvectionProblem(nx=nx, ny=ny, vx=vx, vy=vy)
+        if args.vy is not None:
+            raise ValueError('--vy cannot be combined with --dim 1')
+        return AdvectionProblem(nx=args.n, ny=0, vx=vx, vy=0.0)
+    return AdvectionProblem(nx=args.n, ny=args.n, vx=vx, vy=vy)
 
 
 def _build_system(problem):
@@ -229,7 +206,6 @@ def run(args):
     Returns ``(exit_code, result_dict)``; never raises for solver
     non-convergence (exit code 2 carries it instead).
     """
-    _refuse_overlaps(args)
     problem = _problem_from_args(args)
     setup_cfg = _config_from_args(args, SetupConfig).validate()
     solve_cfg = _config_from_args(args, SolveConfig).validate()
@@ -237,9 +213,6 @@ def run(args):
         raise ValueError('--repeats must be non-negative')
 
     A, b = _build_system(problem)
-    if args.export_matrix:
-        write_matrix_market(A, args.export_matrix)
-
     try:
         H, stats, result = _single_run(problem, A, b, setup_cfg, solve_cfg,
                                        args.repeats)

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .polynomial import (PolySolver, _poly_apply_flops, _random_unit_vector,
+from .polynomial import (COEFF_KINDS, POLY_KINDS, PolySolver,
+                         _poly_apply_flops, _random_unit_vector,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
 from .sparse import (SparseMatrix, _add, _row_index, _row_max,
@@ -47,9 +48,6 @@ _SEED_SPLIT, _SEED_SMOOTHER, _SEED_COARSE_POLY, _SEED_TRUNC_RHS = range(4)
 SETUP_PHASES = ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
                 'spgemm_coarse', 'extract', 'drop', 'truncation')
 
-_INVERSE_TYPES = ('arnoldi', 'neumann')
-_COARSEST_INVERSE_TYPES = ('newton', 'arnoldi', 'neumann')
-
 
 def _derive_seed(root, level, role):
     """Stable per-level, per-role seed derived from the root seed."""
@@ -67,7 +65,7 @@ class SetupConfig:
     implement; ``validate`` rejects them with a clear error.
 
     ``a_drop`` filters each coarse matrix (dropped entries are lumped onto
-    the diagonal when ``lump``); ``r_drop`` filters the ``Z`` block of ``R``
+    the diagonal when ``a_lump``); ``r_drop`` filters the ``Z`` block of ``R``
     (dropped, not lumped).  Both are row-relative.  Their defaults were
     chosen by a sweep on pi/4 upwind advection from 128^2 to 512^2, not
     taken from the paper: they keep 6 iterations at every size with cycle
@@ -83,7 +81,7 @@ class SetupConfig:
     matrix_free_polys: bool = True
     a_drop: float = 1e-5
     r_drop: float = 1e-2
-    lump: bool = True
+    a_lump: bool = True
     coarsest_poly_order: int = 100
     coarsest_inverse_type: str = 'newton'
     auto_truncate_tol: float | None = 0.1
@@ -106,14 +104,14 @@ class SetupConfig:
             raise ValueError('ddc_its must be non-negative')
         if self.poly_order < 0:
             raise ValueError('poly_order must be non-negative')
-        if self.inverse_type not in _INVERSE_TYPES:
-            raise ValueError(f'inverse_type must be one of {_INVERSE_TYPES}')
+        if self.inverse_type not in COEFF_KINDS:
+            raise ValueError(f'inverse_type must be one of {COEFF_KINDS}')
         for name in ('a_drop', 'r_drop'):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f'{name} must be finite and non-negative')
-        if self.coarsest_inverse_type not in _COARSEST_INVERSE_TYPES:
+        if self.coarsest_inverse_type not in POLY_KINDS:
             raise ValueError('coarsest_inverse_type must be one of '
-                             f'{_COARSEST_INVERSE_TYPES}')
+                             f'{POLY_KINDS}')
         min_order = 1 if self.coarsest_inverse_type == 'newton' else 0
         if self.coarsest_poly_order < min_order:
             raise ValueError('coarsest_poly_order too small for '
@@ -283,11 +281,11 @@ def coarse_matrix(A, R, P, cfg, timings=None):
     with _Timer(timings, 'spgemm_coarse'):
         coarse = _spgemm_numeric(R, _spgemm_numeric(A, P))
     with _Timer(timings, 'drop'):
-        return drop_and_lump(coarse, cfg.a_drop, lump=cfg.lump)
+        return drop_and_lump(coarse, cfg.a_drop, lump=cfg.a_lump)
 
 
 def _build_poly(kind, A, order, seed):
-    """Polynomial inverse of ``A`` of any ``_COARSEST_INVERSE_TYPES`` kind.
+    """Polynomial inverse of ``A`` of any of the ``POLY_KINDS``.
     The builders are called by module name, so rebinding the names (as a
     tracer does) reaches every build."""
     if kind == 'newton':

@@ -3,10 +3,10 @@
 Three kinds are supported, all applicable matrix-free (SpMVs and vector
 updates only, no dot products during application):
 
-* ``arnoldi_coeff`` -- the minimum-residual (GMRES) polynomial of a requested
+* ``arnoldi`` -- the minimum-residual (GMRES) polynomial of a requested
   degree, built once from a random right-hand side via Arnoldi and stored as
   explicit monomial coefficients.  Intended for low orders.
-* ``newton_roots`` -- the same minimising polynomial represented by the roots
+* ``newton`` -- the same minimising polynomial represented by the roots
   of its residual polynomial (the harmonic Ritz values), Leja-ordered and
   applied in factored Newton form.  Stable to very high order.
 * ``neumann`` -- the truncated Neumann series ``sum_k (I - D^-1 A)^k D^-1``.
@@ -24,6 +24,8 @@ from .sparse import (SparseMatrix, _add, _masked_power_sum, _row_index,
                      diagonal, spmv)
 
 __all__ = [
+    'POLY_KINDS',
+    'COEFF_KINDS',
     'PolySolver',
     'gmres_poly_arnoldi',
     'gmres_poly_newton',
@@ -37,17 +39,23 @@ _RANK_REL = 1e-12
 _SCALE_LIMIT = 1e150
 _ADDED_ROOT_TOL = 1e-4
 
+# The polynomial kinds, and the coefficient kinds among them: the ones that
+# ``assemble_fixed_sparsity`` accepts, so the ones a smoother may use.
+POLY_KINDS = ('newton', 'arnoldi', 'neumann')
+COEFF_KINDS = ('arnoldi', 'neumann')
+
 
 @dataclass(frozen=True)
 class PolySolver:
     """A fixed polynomial approximation of a matrix inverse.
 
     ``order`` is the requested degree of the polynomial; ``effective_order``
-    is the degree actually achieved after breakdown/rank truncation.  The
-    coefficient kinds store ``coeffs`` (monomial coefficients for
-    ``arnoldi_coeff``, series weights on powers of ``I - D^-1 A`` for
-    ``neumann``); the Newton kind stores the residual-polynomial ``roots``
-    with conjugate pairs adjacent and any stability copies included.
+    is the degree actually achieved after breakdown/rank truncation.  ``kind``
+    is one of ``POLY_KINDS``.  The coefficient kinds store ``coeffs``
+    (monomial coefficients for ``arnoldi``, series weights on powers of
+    ``I - D^-1 A`` for ``neumann``); the Newton kind stores the
+    residual-polynomial ``roots`` with conjugate pairs adjacent and any
+    stability copies included.
     """
 
     kind: str
@@ -56,6 +64,11 @@ class PolySolver:
     coeffs: np.ndarray = None
     roots: np.ndarray = None
     diag_scale: np.ndarray = None
+
+    def __post_init__(self):
+        if self.kind not in POLY_KINDS:
+            raise ValueError(f'polynomial kind must be one of {POLY_KINDS}, '
+                             f'not {self.kind!r}')
 
 
 def _random_unit_vector(n, seed):
@@ -177,7 +190,7 @@ def gmres_poly_arnoldi(A, order, seed):
     rhs[0] = beta
     y, *_ = np.linalg.lstsq(H[:k_use + 1, :k_use], rhs, rcond=None)
     coeffs = (C[:k_use, :k_use] @ y) / beta
-    return PolySolver(kind='arnoldi_coeff', order=order,
+    return PolySolver(kind='arnoldi', order=order,
                       effective_order=k_use - 1, coeffs=coeffs)
 
 
@@ -327,7 +340,7 @@ def gmres_poly_newton(A, order, seed):
     lead, paired = _group_conjugate_units(theta)
     leja = _leja_order(lead, paired)
     roots = _with_added_roots(lead[leja], paired[leja], _ADDED_ROOT_TOL)
-    return PolySolver(kind='newton_roots', order=order, effective_order=k - 1,
+    return PolySolver(kind='newton', order=order, effective_order=k - 1,
                       roots=roots)
 
 
@@ -435,28 +448,24 @@ def apply_matrix_free(p, A, b):
     b = np.asarray(b, dtype=np.float64)
     if A.nrows != A.ncols or len(b) != A.ncols:
         raise ValueError('solver, matrix and vector shapes disagree')
-    if p.kind == 'arnoldi_coeff':
+    if p.kind == 'arnoldi':
         return _apply_horner(p.coeffs, A, b)
     if p.kind == 'neumann':
         return _apply_neumann(p, A, b)
-    if p.kind == 'newton_roots':
-        return _apply_newton(p.roots, A, b)
-    raise ValueError(f'unknown polynomial kind {p.kind!r}')
+    return _apply_newton(p.roots, A, b)
 
 
 def _poly_apply_flops(p, nnz, n):
     """FLOPs of one matrix-free polynomial application under the cycle cost
     model (see ``hierarchy.count_cycle_flops``)."""
-    if p.kind == 'arnoldi_coeff':
+    if p.kind == 'arnoldi':
         d = len(p.coeffs) - 1
         return 2 * n + d * (2 * nnz + 2 * n)
     if p.kind == 'neumann':
         return 2 * n + p.effective_order * (2 * nnz + 6 * n)
-    if p.kind == 'newton_roots':
-        n_real = int(np.count_nonzero(p.roots.imag == 0))
-        n_pairs = (len(p.roots) - n_real) // 2
-        return n_real * (2 * nnz + 4 * n) + n_pairs * (4 * nnz + 10 * n)
-    raise ValueError(f'unknown polynomial kind {p.kind!r}')
+    n_real = int(np.count_nonzero(p.roots.imag == 0))
+    n_pairs = (len(p.roots) - n_real) // 2
+    return n_real * (2 * nnz + 4 * n) + n_pairs * (4 * nnz + 10 * n)
 
 
 def assemble_fixed_sparsity(p, A):
@@ -464,24 +473,19 @@ def assemble_fixed_sparsity(p, A):
 
     Matrix powers beyond the first are constrained to the pattern of ``A``
     plus its diagonal before the next multiplication, so the result never
-    leaves that pattern.  Defined for the coefficient kinds only.
+    leaves that pattern.  Defined for the ``COEFF_KINDS`` only.
     """
-    if p.kind == 'newton_roots':
-        raise ValueError('fixed-sparsity assembly is defined for coefficient '
-                         'forms only, not newton_roots')
+    if p.kind not in COEFF_KINDS:
+        raise ValueError('fixed-sparsity assembly is defined for the '
+                         f'coefficient kinds {COEFF_KINDS} only, not {p.kind}')
     if A.nrows != A.ncols:
         raise ValueError('require a square matrix')
     eye = SparseMatrix.identity(A.nrows)
     pattern = _add(eye, replace(A, values=np.ones(A.nnz)))
-    if p.kind == 'arnoldi_coeff':
-        base = A
-    elif p.kind == 'neumann':
-        # Series in N = I - D^-1 A, right-scaled by D^-1 at the end.
-        base = _add(eye, replace(
-            A, values=-p.diag_scale[_row_index(A)] * A.values))
-    else:
-        raise ValueError(f'unknown polynomial kind {p.kind!r}')
+    if p.kind == 'arnoldi':
+        return _masked_power_sum(p.coeffs, A, pattern)
+    # Series in N = I - D^-1 A, right-scaled by D^-1 at the end.
+    base = _add(eye, replace(
+        A, values=-p.diag_scale[_row_index(A)] * A.values))
     out = _masked_power_sum(p.coeffs, base, pattern)
-    if p.kind == 'neumann':
-        out = replace(out, values=out.values * p.diag_scale[out.col_indices])
-    return out
+    return replace(out, values=out.values * p.diag_scale[out.col_indices])

@@ -131,7 +131,7 @@ def test_criterion_02_newton_arnoldi_consistency():
         _, _, H, _ = pi4_run(256)
         Ac = H.coarsest_A
         solver = H.coarse_solver
-        assert solver.kind == 'newton_roots' and solver.order == 100
+        assert solver.kind == 'newton' and solver.order == 100
         rhs = _random_unit_vector(Ac.nrows, 987654)
         x = apply_matrix_free(solver, Ac, rhs)
         assert np.all(np.isfinite(x))
@@ -165,7 +165,7 @@ def test_criterion_04_ideal_restriction_property():
                             seed=0)
         A_ff = extract(A, split.f_set, split.f_set)
         assert A_ff.nnz == A_ff.nrows  # diagonal fine block
-        cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
+        cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
         R, _, A_fc, _, _ = build_restriction(A, split, cfg)
         P = build_prolongation(A_fc, split)
         A_coarse = coarse_matrix(A, R, P, cfg)

@@ -19,7 +19,7 @@ from airmg import (AdvectionProblem, build_advection_1d, build_advection_2d,
 from airmg.cli import (SETUP_FLAG_MAP, SOLVE_FLAG_MAP, main, _build_parser,
                        _config_from_args)
 from airmg import hierarchy
-from airmg.hierarchy import _COARSEST_INVERSE_TYPES, _INVERSE_TYPES
+from airmg.polynomial import COEFF_KINDS, POLY_KINDS
 
 
 def run_cli(tmp_path, *args, name='out.json'):
@@ -38,13 +38,14 @@ def test_cyclic_reduction_example(tmp_path):
 
 
 def test_2d_defaults_schema(tmp_path):
-    code, res = run_cli(tmp_path, '--dim', '2', '--n', '24', '--angle',
-                        '0.7853981633974483')
+    code, res = run_cli(tmp_path, '--dim', '2', '--n', '24')
     assert code == 0
+    assert (res['problem']['vx'], res['problem']['vy']) == (
+        float(np.cos(np.pi / 4)), float(np.sin(np.pi / 4)))
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 7
+    assert res['schema_version'] == 8
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
@@ -56,12 +57,26 @@ def test_record_holds_coarse_roots_and_convergence_factor(tmp_path):
     code, res = run_cli(tmp_path, '--dim', '2', '--n', '24')
     assert code == 0
     coarsest = res['summary']['coarsest']
-    assert coarsest['solver_kind'] == 'newton_roots'
+    assert coarsest['solver_kind'] == 'newton'
     assert coarsest['solver_roots'] >= coarsest['solver_effective_order'] + 1
     solve = res['solve']
     h = solve['residual_history']
     assert solve['convergence_factor'] == pytest.approx(
         (h[-1] / h[0]) ** (1.0 / solve['iterations']), rel=1e-12)
+
+
+@pytest.mark.parametrize('flag, kind', [
+    *(('--inverse-type', kind) for kind in COEFF_KINDS),
+    *(('--coarsest-inverse-type', kind) for kind in POLY_KINDS)])
+def test_record_names_kinds_as_configured(tmp_path, flag, kind):
+    code, res = run_cli(tmp_path, '--n', '16', flag, kind)
+    assert code == 0
+    config, summary = res['setup_config'], res['summary']
+    assert summary['levels']
+    for level in summary['levels']:
+        assert level['smoother_kind'] == config['inverse_type']
+    assert summary['coarsest']['solver_kind'] == config[
+        'coarsest_inverse_type']
 
 
 def test_flag_maps_cover_configs_exactly():
@@ -74,7 +89,8 @@ def test_flag_maps_cover_configs_exactly():
     parser = _build_parser()
     known = {opt for action in parser._actions
              for opt in action.option_strings}
-    for flag in list(SETUP_FLAG_MAP) + list(SOLVE_FLAG_MAP):
+    for flag, name in {**SETUP_FLAG_MAP, **SOLVE_FLAG_MAP}.items():
+        assert flag == '--' + name.replace('_', '-'), (flag, name)
         assert flag in known, f'{flag} missing from the parser'
 
 
@@ -86,8 +102,8 @@ def _base_type(f):
 def _non_default(f):
     """A valid command-line value for field ``f`` other than its default."""
     if f.type is str:
-        choices = {'inverse_type': _INVERSE_TYPES,
-                   'coarsest_inverse_type': _COARSEST_INVERSE_TYPES}
+        choices = {'inverse_type': COEFF_KINDS,
+                   'coarsest_inverse_type': POLY_KINDS}
         return next(c for c in choices.get(f.name, ('ff',)) if c != f.default)
     return _base_type(f)(3 if f.default is None else f.default + 1)
 
@@ -126,27 +142,29 @@ def test_removed_flags_are_unknown():
     for argv in (['--ddc-bins', '10'], ['--lx', '2'], ['--ly', '2'],
                  ['--no-auto-truncate'], ['--second-solve'],
                  ['--no-second-solve'], ['--compare-inverse-types'],
-                 ['--auto-truncate-start-level', '3']):
+                 ['--auto-truncate-start-level', '3'], ['--nx', '8'],
+                 ['--ny', '8'], ['--angle', '0.5'],
+                 ['--export-matrix', 'A.mtx']):
         assert main(['--n', '8', *argv]) == 1, argv
 
 
 @pytest.mark.parametrize('argv, message', [
-    (['--ny', '8'], '--ny cannot be combined with --n'),
-    (['--dim', '1', '--ny', '9'], '--ny cannot be combined with --dim 1'),
     (['--dim', '1', '--vx', '1', '--vy', '5'],
      '--vy cannot be combined with --dim 1'),
-    (['--dim', '1', '--angle', '1.2'],
-     '--angle cannot be combined with --dim 1'),
     (['--repeats', '-1'], '--repeats must be non-negative'),
-    (['--angle', '0.5', '--vx', '1'], '--vx cannot be combined with --angle'),
-    (['--angle', '0.5', '--vy', '1'], '--vy cannot be combined with --angle'),
-    (['--nx', '8', '--ny', '8'], '--nx, --ny cannot be combined with --n'),
-    (['--dim', '1', '--nx', '100'], '--nx cannot be combined with --n'),
 ])
 def test_overriding_flags_are_refused(tmp_path, capsys, argv, message):
     code, res = run_cli(tmp_path, '--n', '16', *argv)
     assert code == 1 and res is None
     assert f'error: {message}' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('argv, velocity', [(['--vx', '1'], (1.0, 0.0)),
+                                            (['--vy', '2'], (0.0, 2.0))])
+def test_velocity_component_not_given_is_zero(tmp_path, argv, velocity):
+    code, res = run_cli(tmp_path, '--n', '16', *argv)
+    assert code == 0
+    assert (res['problem']['vx'], res['problem']['vy']) == velocity
 
 
 @pytest.mark.parametrize('value', [math.nan, math.inf, -math.inf])
@@ -167,12 +185,12 @@ def test_non_finite_flags_exit_1(tmp_path, capsys, flag, value):
     assert f'error: {flag[2:].replace("-", "_")}' in capsys.readouterr().err
 
 
-def test_kind_choices_come_from_the_hierarchy(capsys):
+def test_kind_choices_come_from_the_polynomial_kinds(capsys):
     choices = {action.dest: action.choices
                for action in _build_parser()._actions}
-    assert tuple(choices['inverse_type']) == _INVERSE_TYPES
-    assert tuple(choices['coarsest_inverse_type']) == _COARSEST_INVERSE_TYPES
-    assert SETUP_FLAG_MAP['--a-lump'] == 'lump'
+    assert tuple(choices['inverse_type']) == COEFF_KINDS
+    assert tuple(choices['coarsest_inverse_type']) == POLY_KINDS
+    assert SETUP_FLAG_MAP['--a-lump'] == 'a_lump'
     for flag in ('--inverse-type', '--coarsest-inverse-type'):
         assert main(['--n', '8', flag, 'bogus']) == 1
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
@@ -306,14 +324,6 @@ def test_json_deterministic_except_wall_times(tmp_path):
                                                            sort_keys=True)
 
 
-def test_grid_flags_without_n(tmp_path):
-    for argv, shape in ((['--nx', '8', '--ny', '4'], (8, 4)),
-                        (['--nx', '8'], (8, 64))):
-        code, res = run_cli(tmp_path, *argv)
-        assert code == 0
-        assert (res['problem']['nx'], res['problem']['ny']) == shape
-
-
 @pytest.mark.parametrize('argv, build, setup_cfg', [
     (['--n', '24'],
      lambda: build_advection_2d(AdvectionProblem(
@@ -336,12 +346,12 @@ def test_record_residual_history_is_exact(tmp_path, argv, build, setup_cfg):
 
 
 def test_export_matrix_roundtrip(tmp_path):
-    mtx = tmp_path / 'problem.mtx'
-    code = main(['--dim', '1', '--n', '16', '--export-matrix', str(mtx),
+    ops = tmp_path / 'ops'
+    code = main(['--dim', '1', '--n', '16', '--dump-operators', str(ops),
                  '--output', str(tmp_path / 'o.json'),
                  '--strong-threshold', '0.5'])
     assert code == 0
-    A = read_matrix_market(mtx)
+    A = read_matrix_market(ops / 'top_A.mtx')
     assert A.nrows == 16 and A.nnz == 31
 
 
@@ -355,17 +365,15 @@ def test_system_is_built_once_per_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(airmg.cli, '_build_system', counting)
     code, res = run_cli(tmp_path, '--n', '16',
-                        '--export-matrix', str(tmp_path / 'A.mtx'))
+                        '--dump-operators', str(tmp_path / 'ops'))
     assert code == 0
     assert len(built) == 1
-    assert read_matrix_market(tmp_path / 'A.mtx').nrows == 16 * 16
+    assert read_matrix_market(tmp_path / 'ops' / 'top_A.mtx').nrows == 16 * 16
     assert res['problem']['n'] == 256
 
 
-@pytest.mark.parametrize('extra', [[], ['--export-matrix', 'A.mtx']])
-def test_setup_is_timed_cold(tmp_path, monkeypatch, extra):
-    # The matrix reaches setup without a cached scipy view, also after the
-    # export has written it.
+def test_setup_is_timed_cold(tmp_path, monkeypatch):
+    # The matrix reaches setup without a cached scipy view.
     seen = []
 
     def cold_setup(A, cfg):
@@ -374,8 +382,7 @@ def test_setup_is_timed_cold(tmp_path, monkeypatch, extra):
         return setup(A, cfg)
 
     monkeypatch.setattr(airmg.cli, 'setup', cold_setup)
-    monkeypatch.chdir(tmp_path)
-    code, res = run_cli(tmp_path, '--n', '16', *extra)
+    code, res = run_cli(tmp_path, '--n', '16')
     assert code == 0 and seen == [256]
 
 

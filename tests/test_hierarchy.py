@@ -184,7 +184,7 @@ def test_coarse_matrix_all_coarse_degenerate():
     np.fill_diagonal(dense, 2.0)
     A = SparseMatrix.from_dense(dense)
     I5 = SparseMatrix.identity(5)
-    cfg = SetupConfig(a_drop=0.0, lump=False)
+    cfg = SetupConfig(a_drop=0.0, a_lump=False)
     got = coarse_matrix(A, I5, I5, cfg)
     assert np.array_equal(got.to_dense(), dense)
 
@@ -192,7 +192,7 @@ def test_coarse_matrix_all_coarse_degenerate():
 def test_coarse_matrix_matches_schur_complement():
     A = build_advection_1d(20, 1.0)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=1)
-    cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
+    cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
     R, A_ff, A_fc, _, _ = build_restriction(A, split, cfg)
     P = build_prolongation(A_fc, split)
     got = coarse_matrix(A, R, P, cfg).to_dense()
@@ -207,8 +207,8 @@ def test_coarse_matrix_matches_schur_complement():
 def test_coarse_matrix_zero_drop_keeps_everything():
     A = build_advection_1d(16, 1.0)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=2)
-    base = SetupConfig(poly_order=1, a_drop=0.0, lump=False)
-    lumped = SetupConfig(poly_order=1, a_drop=0.0, lump=True)
+    base = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False)
+    lumped = SetupConfig(poly_order=1, a_drop=0.0, a_lump=True)
     R, _, A_fc, _, _ = build_restriction(A, split, base)
     P = build_prolongation(A_fc, split)
     got_a = coarse_matrix(A, R, P, base).to_dense()
@@ -449,7 +449,7 @@ def test_hierarchy_summary_schema():
     assert s['n_top'] == 128
     for entry in s['levels']:
         assert entry['n_f'] + entry['n_c'] == entry['n']
-    assert s['coarsest']['solver_kind'] == 'newton_roots'
+    assert s['coarsest']['solver_kind'] == 'newton'
 
 
 def test_hierarchy_summary_counts_coarse_roots():
@@ -542,7 +542,8 @@ def test_setup_products_match_public_spgemm_bitwise(permute):
         coarse = coarse_matrix(A, R, P, cfg)
         _assert_same_without_zeros(
             coarse,
-            drop_and_lump(spgemm(R, spgemm(A, P)), cfg.a_drop, lump=cfg.lump))
+            drop_and_lump(spgemm(R, spgemm(A, P)), cfg.a_drop,
+                          lump=cfg.a_lump))
         ref = spgemm(extract(A, split.c_set, split.f_set), assembled)
         ref = drop_and_lump(
             SparseMatrix(ref.nrows, ref.ncols, ref.row_offsets,

@@ -132,7 +132,7 @@ def reference_newton(roots, A, b, trace=None):
 
 
 def assert_matches_reference(p, A, b):
-    if p.kind == 'arnoldi_coeff':
+    if p.kind == 'arnoldi':
         want = reference_horner(p.coeffs, A, b)
     elif p.kind == 'neumann':
         want = reference_neumann(p, A, b)
@@ -323,7 +323,7 @@ def test_apply_matches_dense_polynomial_oracle():
 
 def test_apply_degree_zero_scales():
     from airmg import PolySolver
-    p = PolySolver(kind='arnoldi_coeff', order=0, effective_order=0,
+    p = PolySolver(kind='arnoldi', order=0, effective_order=0,
                    coeffs=np.array([2.5]))
     A = SparseMatrix.identity(3)
     assert np.array_equal(apply_matrix_free(p, A, np.ones(3)), 2.5 * np.ones(3))
@@ -448,8 +448,16 @@ def test_assemble_rejects_newton():
     A = SparseMatrix.identity(4)
     p = gmres_poly_newton(SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0])),
                           order=2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='coefficient kinds'):
         assemble_fixed_sparsity(p, A)
+
+
+def test_unknown_kind_is_refused_at_construction():
+    with pytest.raises(ValueError, match='bogus'):
+        PolySolver(kind='bogus', order=0, effective_order=0)
+    for kind in polynomial.POLY_KINDS:
+        assert PolySolver(kind=kind, order=0, effective_order=0).kind == kind
+    assert set(polynomial.COEFF_KINDS) < set(polynomial.POLY_KINDS)
 
 
 def test_f_block_polynomial_residual_matches_gmres_on_advection():
@@ -488,7 +496,7 @@ def test_neumann_apply_bitwise_equals_plain_form():
 def test_newton_out_of_range_stops_at_last_finite_sum(roots):
     A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 3.0]))
     b = np.array([1.0, -0.5, 0.25])
-    p = PolySolver(kind='newton_roots', order=len(roots),
+    p = PolySolver(kind='newton', order=len(roots),
                    effective_order=len(roots), roots=roots)
     trace = []
     reference_newton(roots, A, b, trace)
@@ -778,7 +786,7 @@ def test_newton_flops_count_real_roots_and_pairs():
         # Each unit once or twice, as stability copies leave it.
         roots = np.array([t for u in unit_tuples(lead, paired)
                           for t in u * rng.integers(1, 3)])
-        p = PolySolver(kind='newton_roots', order=m, effective_order=m - 1,
+        p = PolySolver(kind='newton', order=m, effective_order=m - 1,
                        roots=roots)
         nnz, n = (int(v) for v in rng.integers(1, 10 ** 7, 2))
         got = _poly_apply_flops(p, nnz, n)

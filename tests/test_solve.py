@@ -50,7 +50,7 @@ def test_two_level_ideal_restriction_zeroes_coarse_error():
     split, _ = cf_split(A, theta=0.0, ddc_fraction=0.01, ddc_its=2, seed=0)
     A_ff = extract(A, split.f_set, split.f_set)
     assert A_ff.nnz == A_ff.nrows
-    cfg = SetupConfig(poly_order=1, a_drop=0.0, lump=False, r_drop=0.0)
+    cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
     R, _, A_fc, _, _ = build_restriction(A, split, cfg)
     P = build_prolongation(A_fc, split)
     A_coarse = coarse_matrix(A, R, P, cfg)
