@@ -25,7 +25,7 @@ from .polynomial import (COEFF_KINDS, POLY_KINDS, PolySolver,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
 from .sparse import (SparseMatrix, _add, _row_index, _row_max,
-                     _spgemm_numeric, drop_and_lump, extract, spmv)
+                     drop_and_lump, extract, spgemm, spmv)
 from .splitting import CFSplit, cf_split
 
 __all__ = [
@@ -226,7 +226,7 @@ def build_restriction(A, split, cfg, level=0, timings=None):
                                _derive_seed(cfg.seed, level, _SEED_SMOOTHER))
         assembled = assemble_fixed_sparsity(smoother, A_ff)
     with _Timer(timings, 'spgemm_R'):
-        Z = _spgemm_numeric(A_cf, assembled)
+        Z = spgemm(A_cf, assembled)
         Z = replace(Z, values=-Z.values)
     with _Timer(timings, 'drop'):
         Z = drop_and_lump(Z, cfg.r_drop, lump=False, keep_diagonal=False)
@@ -279,7 +279,7 @@ def coarse_matrix(A, R, P, cfg, timings=None):
     Entries of ``R A P`` that cancel to exactly zero are not stored.
     """
     with _Timer(timings, 'spgemm_coarse'):
-        coarse = _spgemm_numeric(R, _spgemm_numeric(A, P))
+        coarse = spgemm(R, spgemm(A, P))
     with _Timer(timings, 'drop'):
         return drop_and_lump(coarse, cfg.a_drop, lump=cfg.a_lump)
 

@@ -81,10 +81,10 @@ def _random_unit_vector(n, seed):
 def _arnoldi(A, b, m):
     """Arnoldi with modified Gram-Schmidt and selective reorthogonalisation.
 
-    Returns ``(V, H, k, beta)`` with ``V`` holding the basis vectors as rows,
-    ``H`` the ``(k+1) x k`` Hessenberg block and ``beta = ||b||``.  A lucky
-    breakdown truncates ``k`` when the subdiagonal falls below ``1e-14`` of
-    the running maximum Hessenberg column norm.
+    Returns ``(H, k, beta)`` with ``H`` the ``(k+1) x k`` Hessenberg block
+    and ``beta = ||b||``; the basis vectors stay local.  A lucky breakdown
+    truncates ``k`` when the subdiagonal falls below ``1e-14`` of the
+    running maximum Hessenberg column norm.
     """
     n = A.nrows
     m = min(m, n)
@@ -120,7 +120,7 @@ def _arnoldi(A, b, m):
         V[j + 1] = w / hnorm
     if np.max(np.abs(H[:k + 1, :k])) == 0.0:
         raise ValueError('matrix is numerically zero on the Krylov space')
-    return V[:k + 1], H[:k + 1, :k], k, beta
+    return H[:k + 1, :k], k, beta
 
 
 def _residual_history(H, k, beta):
@@ -167,7 +167,7 @@ def gmres_poly_arnoldi(A, order, seed):
         raise ValueError('order must be non-negative')
     b = _random_unit_vector(A.nrows, seed)
     m = order + 1
-    _, H, k, beta = _arnoldi(A, b, m)
+    H, k, beta = _arnoldi(A, b, m)
     history = _residual_history(H, k, beta)
     # Columns of C express each basis vector as a polynomial in A applied to
     # the start vector: V[j] = sum_i C[i, j] A^i v0.
@@ -332,7 +332,7 @@ def gmres_poly_newton(A, order, seed):
     if order < 1:
         raise ValueError('order must be at least 1')
     b = _random_unit_vector(A.nrows, seed)
-    _, H, k, _ = _arnoldi(A, b, order + 1)
+    H, k, _ = _arnoldi(A, b, order + 1)
     theta, k = _harmonic_ritz(H, k)
     if np.any(np.abs(theta) == 0):
         raise ValueError('zero harmonic Ritz value; residual polynomial '

@@ -45,3 +45,8 @@ def test_traced_measurement_runs(key):
     assert result['failed'] == 0
     assert set(result['metrics']) == _names('per_layer')
     assert all(map(math.isfinite, result['metrics'].values()))
+    # Setup's three products per level (Z, A P and R (A P)) are traced.
+    metrics = result['metrics']
+    assert metrics['sparse.spgemm.calls'] == 3 * metrics['hierarchy.levels']
+    assert metrics['sparse.spgemm.out_nnz'] > 0
+    assert metrics['sparse.spgemm.flops'] > 0

@@ -17,6 +17,7 @@ from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
 from airmg.splitting import _level_view, _repair_split
+from structural_spgemm import assert_same_without_zeros, structural_spgemm
 
 
 def labels_from_sets(n, c_set):
@@ -504,16 +505,6 @@ def _permuted(A, seed):
                                  inv[A.col_indices], A.values)
 
 
-def _assert_same_without_zeros(got, expected):
-    a, b = got._scipy.copy(), expected._scipy.copy()
-    a.eliminate_zeros()
-    b.eliminate_zeros()
-    assert a.shape == b.shape
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
-
-
 def _assert_same_bits(got, want):
     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
     assert np.array_equal(got.row_offsets, want.row_offsets)
@@ -523,9 +514,9 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize('permute', [False, True])
-def test_setup_products_match_public_spgemm_bitwise(permute):
-    # On every level, the numeric-only products inside setup give the same
-    # nonzeros, bit for bit, as the public structural spgemm once explicit
+def test_setup_products_match_structural_spgemm_bitwise(permute):
+    # On every level, the products inside setup give the same nonzeros, bit
+    # for bit, as the structural-pattern reference product once explicit
     # zeros are removed.
     A, _ = build_advection_2d(AdvectionProblem(nx=64, ny=64,
                                                vx=np.cos(np.pi / 4),
@@ -540,33 +531,42 @@ def test_setup_products_match_public_spgemm_bitwise(permute):
                                                      level=level)
         P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(A, R, P, cfg)
-        _assert_same_without_zeros(
+        assert_same_without_zeros(
             coarse,
-            drop_and_lump(spgemm(R, spgemm(A, P)), cfg.a_drop,
-                          lump=cfg.a_lump))
-        ref = spgemm(extract(A, split.c_set, split.f_set), assembled)
+            drop_and_lump(structural_spgemm(R, structural_spgemm(A, P)),
+                          cfg.a_drop, lump=cfg.a_lump))
+        ref = structural_spgemm(extract(A, split.c_set, split.f_set),
+                                assembled)
         ref = drop_and_lump(
             SparseMatrix(ref.nrows, ref.ncols, ref.row_offsets,
                          ref.col_indices, -ref.values),
             cfg.r_drop, lump=False, keep_diagonal=False)
-        _assert_same_without_zeros(
+        assert_same_without_zeros(
             extract(R, np.arange(split.n_c), split.f_set), ref)
         A = coarse
 
 
-def test_setup_never_builds_the_counting_product(monkeypatch):
-    # Nor a coordinate sort: setup's operators have no duplicate entries.
+def test_setup_forms_three_products_per_level(monkeypatch):
+    # Z and both halves of R (A P), each through the public spgemm, which the
+    # benchmark's tracer wraps by name.  No coordinate sort either: setup's
+    # operators have no duplicate entries.
+    calls = []
+
+    def counting_spgemm(*args):
+        calls.append(args)
+        return spgemm(*args)
+
     def refuse(*_):
-        raise AssertionError('setup must not run the counting product '
-                             'or sort coordinates')
+        raise AssertionError('setup must not sort coordinates')
 
     A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32,
                                                vx=np.cos(np.pi / 4),
                                                vy=np.sin(np.pi / 4)))
-    monkeypatch.setattr(sparse, '_pattern_matrix', refuse)
+    monkeypatch.setattr(hierarchy, 'spgemm', counting_spgemm)
     monkeypatch.setattr(SparseMatrix, 'from_coo', refuse)
     H = setup(A, SetupConfig())
     assert H.num_levels > 0
+    assert len(calls) == 3 * H.num_levels
 
 
 def test_setup_extracts_three_blocks_per_level(monkeypatch):

@@ -691,20 +691,20 @@ def hessenbergs():
     for n in (10, 60, 150):
         for M in (SparseMatrix.from_dense(rng.standard_normal((n, n))),
                   random_dd_matrix(rng, n)):
-            _, H, k, beta = _arnoldi(M, _random_unit_vector(n, n), 101)
+            H, k, beta = _arnoldi(M, _random_unit_vector(n, n), 101)
             yield 'random_krylov', H, k, beta
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16, vx=vx, vy=vy))
     split, _ = cf_split(A, theta=0.4, ddc_fraction=0.1, ddc_its=1, seed=0)
     for M in (A, extract(A, split.f_set, split.f_set)):
-        _, H, k, beta = _arnoldi(M, _random_unit_vector(M.nrows, 3), 101)
+        H, k, beta = _arnoldi(M, _random_unit_vector(M.nrows, 3), 101)
         yield 'advection', H, k, beta
     D = SparseMatrix.from_dense(np.diag(np.repeat([1.0, 2.0, 5.0, 9.0], 5)))
-    _, H, k, beta = _arnoldi(D, 3.0 * _random_unit_vector(20, 4), 10)
+    H, k, beta = _arnoldi(D, 3.0 * _random_unit_vector(20, 4), 10)
     assert k == 4 and H[k, k - 1] == 0.0
     yield 'breakdown', H, k, beta
     S = SparseMatrix.from_dense(np.diag([0.0, 1.0, 2.0, 4.0]))
-    _, H, k, beta = _arnoldi(S, _random_unit_vector(4, 5), 4)
+    H, k, beta = _arnoldi(S, _random_unit_vector(4, 5), 4)
     _, k_cut = _harmonic_ritz(H, k)
     assert k_cut < k
     yield 'rank_cut', H, k_cut, beta

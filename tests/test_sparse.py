@@ -14,7 +14,7 @@ from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
                    read_matrix_market, richardson_solve, setup, spgemm,
                    spgemm_fixed_sparsity, spmv, validate, write_matrix_market)
 from airmg import sparse
-from airmg.sparse import _spgemm_numeric
+from structural_spgemm import assert_same_without_zeros, structural_spgemm
 
 
 def random_sparse(rng, nrows, ncols, density):
@@ -146,23 +146,19 @@ def test_spgemm_matches_dense_oracle():
     assert np.max(np.abs(got.to_dense() - expected)) <= 1e-14
 
 
-def test_spgemm_retains_cancellation_zeros():
+def test_spgemm_drops_cancellation_zeros():
     A = SparseMatrix.from_dense([[1.0, -1.0], [0.0, 2.0]])
     B = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
     C = spgemm(A, B)
-    # (0, 0) cancels exactly but stays a stored entry of the structural product
-    assert C.nnz == 2
-    cols, vals = C.row(0)
-    assert list(cols) == [0] and vals[0] == 0.0
-
-
-def test_spgemm_numeric_drops_cancellation_zeros():
-    A = SparseMatrix.from_dense([[1.0, -1.0], [0.0, 2.0]])
-    B = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
-    C = _spgemm_numeric(A, B)
     validate(C)
+    # (0, 0) cancels exactly: the structural product stores it as a zero,
+    # spgemm does not store it at all
+    ref = structural_spgemm(A, B)
+    assert ref.nnz == 2
+    cols, vals = ref.row(0)
+    assert list(cols) == [0] and vals[0] == 0.0
     assert C.nnz == 1
-    assert np.array_equal(C.to_dense(), spgemm(A, B).to_dense())
+    assert_same_without_zeros(C, ref)
 
 
 def test_from_scipy_sorts_unsorted_rows():
