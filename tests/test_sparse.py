@@ -146,18 +146,26 @@ def test_spgemm_matches_dense_oracle():
     assert np.max(np.abs(got.to_dense() - expected)) <= 1e-14
 
 
-def test_spgemm_drops_cancellation_zeros():
+def test_spgemm_retains_cancellation_zeros():
+    # The structural-pattern reference product, which setup's products are
+    # checked against, keeps (0, 0): it cancels exactly but stays stored.
+    A = SparseMatrix.from_dense([[1.0, -1.0], [0.0, 2.0]])
+    B = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
+    C = structural_spgemm(A, B)
+    assert C.nnz == 2
+    cols, vals = C.row(0)
+    assert list(cols) == [0] and vals[0] == 0.0
+
+
+def test_spgemm_numeric_drops_cancellation_zeros():
+    # spgemm forms the numeric product only and does not store (0, 0).
     A = SparseMatrix.from_dense([[1.0, -1.0], [0.0, 2.0]])
     B = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
     C = spgemm(A, B)
     validate(C)
-    # (0, 0) cancels exactly: the structural product stores it as a zero,
-    # spgemm does not store it at all
-    ref = structural_spgemm(A, B)
-    assert ref.nnz == 2
-    cols, vals = ref.row(0)
-    assert list(cols) == [0] and vals[0] == 0.0
     assert C.nnz == 1
+    ref = structural_spgemm(A, B)
+    assert np.array_equal(C.to_dense(), ref.to_dense())
     assert_same_without_zeros(C, ref)
 
 
