@@ -24,7 +24,7 @@ from .polynomial import (COEFF_KINDS, POLY_KINDS, PolySolver,
                          _poly_apply_flops, _random_unit_vector,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
-from .sparse import (SparseMatrix, _add, _row_index, _row_max,
+from .sparse import (SparseMatrix, _add, _norm, _row_index, _row_max,
                      drop_and_lump, extract, spgemm, spmv)
 from .splitting import CFSplit, cf_split
 
@@ -334,7 +334,7 @@ def try_truncate(A, cfg, level):
     rhs = _random_unit_vector(A.nrows,
                               _derive_seed(cfg.seed, level, _SEED_TRUNC_RHS))
     x = apply_matrix_free(solver, A, rhs)
-    residual = np.linalg.norm(rhs - spmv(A, x)) / np.linalg.norm(rhs)
+    residual = _norm(rhs - spmv(A, x)) / _norm(rhs)
     if np.isfinite(residual) and residual <= cfg.auto_truncate_tol:
         return solver
     return None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .hierarchy import count_cycle_flops
 from .polynomial import apply_matrix_free
-from .sparse import spmv
+from .sparse import _norm, spmv
 
 __all__ = [
     'SolveConfig',
@@ -133,9 +133,9 @@ def richardson_solve(H, b, x0, cfg):
     if len(b) != A.nrows or len(x) != A.nrows:
         raise ValueError('right-hand side or initial guess has wrong length')
     r = b - spmv(A, x)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = float(_norm(r))
     history = [rnorm]
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(_norm(b))
     reference = bnorm if bnorm > 0 else rnorm
     threshold = max(cfg.rtol * reference, cfg.atol)
     if not np.isfinite(rnorm):
@@ -145,7 +145,7 @@ def richardson_solve(H, b, x0, cfg):
     while not converged and iterations < cfg.max_iters:
         x += vcycle(H, 0, r)
         r = b - spmv(A, x)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = float(_norm(r))
         iterations += 1
         history.append(rnorm)
         if not np.isfinite(rnorm):

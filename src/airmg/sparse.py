@@ -27,6 +27,9 @@ private scipy name used anywhere: it is the kernel that ``csr_matrix @ x``
 reaches, so results are bitwise equal, but the solve makes thousands of
 products with matrices of a few dozen rows, where the dispatch around
 ``@`` costs more than the kernel.
+
+Inner products and norms that feed a decision come from ``_dot``/``_norm``,
+whose order is fixed by the shapes; BLAS ``ddot`` splits long sums by thread.
 """
 
 import io
@@ -251,6 +254,16 @@ def spmv(A, x):
     y = np.zeros(A.nrows, dtype=_VALUE)
     _sparsetools.csr_matvec(A.nrows, A.ncols, m.indptr, m.indices, m.data, x, y)
     return y
+
+
+def _dot(X, y):
+    """``X . y`` for a vector or each matrix row, with no BLAS or temporary."""
+    return np.einsum('...i,...i->...', X, y)
+
+
+def _norm(y):
+    """Euclidean norm of a vector, summed in ``_dot``'s fixed order."""
+    return np.sqrt(_dot(y, y))
 
 
 def _add(A, B):

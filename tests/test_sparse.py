@@ -120,6 +120,23 @@ def test_only_sparse_module_imports_scipy():
             assert not re.search(r'\b_(from_)?scipy\b', text), path.name
 
 
+def test_no_module_calls_linalg_norm():
+    """Norms that feed decisions come from ``sparse._norm``, whose summation
+    order is fixed; ``np.linalg.norm`` reaches a BLAS that splits long sums
+    by thread count."""
+    src = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'airmg'
+    calls = []
+    for path in sorted(src.glob('*.py')):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == 'norm'
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == 'linalg'):
+                calls.append(f'{path.name}:{node.lineno}')
+    assert calls == []
+
+
 def test_spgemm_identity_left_bit_identical():
     rng = np.random.default_rng(5)
     B = random_sparse(rng, 6, 4, 0.5)
