@@ -24,9 +24,10 @@ from .splitting import (F_POINT, C_POINT, StrengthGraph, CFSplit,
 from .polynomial import (PolySolver, gmres_poly_arnoldi, gmres_poly_newton,
                          neumann_poly, apply_matrix_free,
                          assemble_fixed_sparsity)
-from .hierarchy import (SetupConfig, Level, Hierarchy, build_restriction,
-                        build_prolongation, coarse_matrix, try_truncate,
-                        setup, count_cycle_flops, hierarchy_summary)
+from .hierarchy import (SetupConfig, Level, TruncationTest, Hierarchy,
+                        build_restriction, build_prolongation, coarse_matrix,
+                        try_truncate, setup, count_cycle_flops,
+                        hierarchy_summary)
 from .solve import (SolveConfig, SolveStats, DivergenceError, vcycle,
                     richardson_solve)
 
@@ -41,9 +42,9 @@ __all__ = [
     'strength_graph', 'pmisr', 'ddc_pass', 'cf_split',
     'PolySolver', 'gmres_poly_arnoldi', 'gmres_poly_newton', 'neumann_poly',
     'apply_matrix_free', 'assemble_fixed_sparsity',
-    'SetupConfig', 'Level', 'Hierarchy', 'build_restriction',
-    'build_prolongation', 'coarse_matrix', 'try_truncate', 'setup',
-    'count_cycle_flops', 'hierarchy_summary',
+    'SetupConfig', 'Level', 'TruncationTest', 'Hierarchy',
+    'build_restriction', 'build_prolongation', 'coarse_matrix',
+    'try_truncate', 'setup', 'count_cycle_flops', 'hierarchy_summary',
     'SolveConfig', 'SolveStats', 'DivergenceError', 'vcycle',
     'richardson_solve',
 ]

@@ -13,6 +13,8 @@ smooths fine points only and never applies ``P``, which, like the level
 matrix, is an intermediate of the Galerkin product.
 """
 
+import contextlib
+import contextvars
 import logging
 import math
 import time
@@ -31,6 +33,7 @@ from .splitting import CFSplit, cf_split
 __all__ = [
     'SetupConfig',
     'Level',
+    'TruncationTest',
     'Hierarchy',
     'build_restriction',
     'build_prolongation',
@@ -164,11 +167,25 @@ class Level:
     ddc_stats: tuple = ()
 
 
+@dataclass(frozen=True)
+class TruncationTest:
+    """One truncation test: the level, its size, the tentative solver's
+    achieved degree and its independent-rhs relative residual (both
+    ``None`` when the build failed), and whether the level was accepted."""
+
+    level: int
+    n: int
+    effective_order: int | None
+    residual: float | None
+    accepted: bool
+
+
 @dataclass
 class Hierarchy:
     """The complete multigrid: per-level operators, the F-point smooths per
-    level of a cycle, the coarsest matrix and its polynomial solver, and the
-    global complexity metrics."""
+    level of a cycle, the coarsest matrix and its polynomial solver, the
+    truncation tests in the order they ran, and the global complexity
+    metrics."""
 
     levels: list
     coarsest_A: SparseMatrix
@@ -179,6 +196,7 @@ class Hierarchy:
     storage_complexity: float = 0.0
     grid_complexity: float = 0.0
     truncated_at: int = None
+    truncation_tests: tuple = ()
     setup_breakdown: dict = field(default_factory=dict)
 
     @property
@@ -304,14 +322,31 @@ def _resolve_truncate_start(cfg, n_top):
     """Start level for truncation testing, estimated a priori from the
     problem size and the coarsening-rate bound of two: at least
     ``log2(n/reach)`` levels must pass before the remaining size can be
-    within the coarse polynomial's reach (``coarsest_poly_order + 1`` Krylov
-    directions, where the tentative solver is close to exact), plus two
+    within the coarse polynomial's reach (at most ``coarsest_poly_order + 1``
+    Krylov directions, where the tentative solver is close to exact; a build
+    on an easy level stops at rounding level with far fewer), plus two
     levels of margin since observed coarsening is slower than the bound.
     """
     reach = cfg.coarsest_poly_order + 1
     if n_top <= reach:
         return 0
     return int(np.ceil(np.log2(n_top / reach))) + 2
+
+
+# The list that ``setup`` collects ``TruncationTest``s in while it calls
+# ``try_truncate``.  The test hands its record over here so that its
+# signature and its return (the solver or ``None``), which callers wrap and
+# patch, stay as they are.
+_TRUNCATION_TESTS = contextvars.ContextVar('truncation_tests', default=None)
+
+
+@contextlib.contextmanager
+def _recording_truncation_tests(tests):
+    token = _TRUNCATION_TESTS.set(tests)
+    try:
+        yield
+    finally:
+        _TRUNCATION_TESTS.reset(token)
 
 
 def try_truncate(A, cfg, level):
@@ -321,23 +356,32 @@ def try_truncate(A, cfg, level):
     independent random right-hand side, and accepts (returning the solver)
     when the relative residual meets ``auto_truncate_tol``.  Construction
     failures are logged and treated as "keep coarsening".  ``setup`` decides
-    the levels at which it is called (``_resolve_truncate_start``).
+    the levels at which it is called (``_resolve_truncate_start``) and keeps
+    a ``TruncationTest`` of each call.
     """
     if cfg.auto_truncate_tol is None:
         return None
+    solver, order, residual = None, None, None
     try:
         solver = _build_coarse_solver(A, cfg, level)
     except (ValueError, np.linalg.LinAlgError) as exc:
         _log.warning('tentative coarse solver failed at level %d: %s',
                      level, exc)
-        return None
-    rhs = _random_unit_vector(A.nrows,
-                              _derive_seed(cfg.seed, level, _SEED_TRUNC_RHS))
-    x = apply_matrix_free(solver, A, rhs)
-    residual = _norm(rhs - spmv(A, x)) / _norm(rhs)
-    if np.isfinite(residual) and residual <= cfg.auto_truncate_tol:
-        return solver
-    return None
+    if solver is not None:
+        order = solver.effective_order
+        rhs = _random_unit_vector(
+            A.nrows, _derive_seed(cfg.seed, level, _SEED_TRUNC_RHS))
+        x = apply_matrix_free(solver, A, rhs)
+        residual = float(_norm(rhs - spmv(A, x)) / _norm(rhs))
+        if not math.isfinite(residual):
+            residual = None
+    accepted = residual is not None and residual <= cfg.auto_truncate_tol
+    tests = _TRUNCATION_TESTS.get()
+    if tests is not None:
+        tests.append(TruncationTest(level=level, n=A.nrows,
+                                    effective_order=order, residual=residual,
+                                    accepted=accepted))
+    return solver if accepted else None
 
 
 def setup(A, cfg):
@@ -360,6 +404,7 @@ def setup(A, cfg):
     current = A
     level = 0
     truncated_at = None
+    truncation_tests = []
     coarse_solver = None
     while True:
         if current.nrows <= cfg.min_coarse_size:
@@ -370,7 +415,8 @@ def setup(A, cfg):
                          cfg.max_levels, current.nrows)
             break
         if level >= truncate_start:
-            with _Timer(timings, 'truncation'):
+            with (_Timer(timings, 'truncation'),
+                  _recording_truncation_tests(truncation_tests)):
                 coarse_solver = try_truncate(current, cfg, level)
             if coarse_solver is not None:
                 truncated_at = level
@@ -402,6 +448,7 @@ def setup(A, cfg):
     H = Hierarchy(levels=levels, coarsest_A=current,
                   coarse_solver=coarse_solver, top_A=A,
                   f_smooths=len(cfg.smooth_type), truncated_at=truncated_at,
+                  truncation_tests=tuple(truncation_tests),
                   setup_breakdown=timings)
     retained = 0
     for L in H.levels:
@@ -438,25 +485,27 @@ def count_cycle_flops(H):
       conjugate pair for the Newton form; an assembled smoother costs one
       SpMV.
     """
-    total = 0
-    for L in H.levels:
-        n_f = len(L.split.f_set)
-        if L.f_smoother_assembled is not None:
-            smooth = 2 * L.f_smoother_assembled.nnz
-        else:
-            smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
-        total += 2 * L.R.nnz + 2 * L.A_fc.nnz
-        total += 2 * n_f + smooth
-        total += (H.f_smooths - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth
-                                      + 2 * n_f)
+    total = sum(_level_cycle_flops(L, H.f_smooths) for L in H.levels)
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
                                H.coarsest_A.nrows)
     return int(total)
 
 
+def _level_cycle_flops(L, f_smooths):
+    """FLOPs that level ``L`` adds to one V-cycle (``count_cycle_flops``)."""
+    n_f = len(L.split.f_set)
+    if L.f_smoother_assembled is not None:
+        smooth = 2 * L.f_smoother_assembled.nnz
+    else:
+        smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
+    return (2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f + smooth
+            + (f_smooths - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f))
+
+
 def hierarchy_summary(H):
     """JSON-serialisable summary: per-level sizes and nonzero counts, the
-    coarse solver, truncation decision and complexity metrics."""
+    coarse solver, the truncation tests and decision, and complexity
+    metrics."""
     levels = []
     for idx, L in enumerate(H.levels):
         levels.append({
@@ -493,6 +542,7 @@ def hierarchy_summary(H):
                 else len(H.coarse_solver.roots),
         },
         'truncated_at': H.truncated_at,
+        'truncation_tests': [asdict(t) for t in H.truncation_tests],
         'cycle_complexity': H.cycle_complexity,
         'storage_complexity': H.storage_complexity,
         'grid_complexity': H.grid_complexity,

@@ -78,13 +78,52 @@ def _random_unit_vector(n, seed):
     return v / _norm(v)
 
 
+def _givens_step(H, j, rotations):
+    """Residual factor of GMRES step ``j + 1``: ``|s|`` of its rotation.
+
+    Rotates column ``j`` of the Hessenberg block by the rotations of the
+    earlier steps (only the entry that stays below the diagonal is carried),
+    then appends the rotation that zeroes ``H[j+1, j]``.  The GMRES residual
+    after step ``j + 1`` is ``beta * prod |s_i|`` (Saad & Schultz 1986).  A
+    column that is zero in both rotated rows (singular on the Krylov space)
+    leaves the residual unchanged.  Step ``j`` reads only ``H[:j+2, j]``, so
+    it can run while Arnoldi fills the block.
+    """
+    column = H[:j + 2, j].tolist()
+    a = column[0]
+    for (c, s), h in zip(rotations, column[1:]):
+        a = c * h - s * a
+    b = column[-1]
+    r = math.hypot(a, b)
+    c, s = (a / r, b / r) if r > 0 else (0.0, 1.0)
+    rotations.append((c, s))
+    return abs(s)
+
+
+def _residual_history(H, k, beta):
+    """GMRES residual norms after steps ``1..k`` of the Hessenberg block
+    ``H``: the Givens steps that ``_arnoldi`` runs, replayed."""
+    rotations = []
+    history = []
+    res = beta
+    for j in range(k):
+        res *= _givens_step(H, j, rotations)
+        history.append(float(res))
+    return tuple(history)
+
+
 def _arnoldi(A, b, m):
     """Arnoldi with classical Gram-Schmidt twice, in two blocked sweeps.
 
     Twice is enough (Giraud, Langou & Rozložník, Comput. Math. Appl. 2005).
     Returns ``(H, k, beta)``: the ``(k+1) x k`` Hessenberg block and
-    ``beta = ||b||``.  A lucky breakdown truncates ``k`` when the subdiagonal
-    falls below ``1e-14`` of the running maximum Hessenberg column norm.
+    ``beta = ||b||``.  ``m`` is a cap on the steps.  Each step carries the
+    GMRES residual by one Givens rotation (``_givens_step``), and Arnoldi
+    stops at the first step whose residual is at most ``eps * beta``: the
+    Krylov space already solves ``b`` to rounding level, so further steps
+    add degrees but no accuracy.  A lucky breakdown also stops it, when the
+    subdiagonal falls below ``1e-14`` of the running maximum Hessenberg
+    column norm.
     """
     n = A.nrows
     m = min(m, n)
@@ -94,6 +133,9 @@ def _arnoldi(A, b, m):
     if beta == 0:
         raise ValueError('cannot build a Krylov space from a zero vector')
     V[0] = b / beta
+    floor = np.finfo(np.float64).eps * beta
+    rotations = []
+    res = beta
     hmax = 0.0
     k = m
     for j in range(m):
@@ -107,6 +149,8 @@ def _arnoldi(A, b, m):
         hmax = max(hmax, _norm(H[:j + 2, j]))
         if hnorm <= _BREAKDOWN_REL * hmax:
             H[j + 1, j] = 0.0
+        res *= _givens_step(H, j, rotations)
+        if H[j + 1, j] == 0.0 or res <= floor:
             k = j + 1
             break
         V[j + 1] = w / hnorm
@@ -115,36 +159,14 @@ def _arnoldi(A, b, m):
     return H[:k + 1, :k], k, beta
 
 
-def _residual_history(H, k, beta):
-    """GMRES residual norms after steps ``1..k`` from one Givens sweep.
-
-    The rotation at step ``j`` zeroes ``H[j+1, j]`` in the Hessenberg block
-    already rotated by the earlier steps, and the residual is
-    ``beta * prod |s_i|``, the magnitude of the rotated right-hand side's
-    entry ``j+1`` (Saad & Schultz 1986).  Only the current row of the
-    triangular factor is carried.  A column that is zero in both rotated
-    rows (singular on the Krylov space) leaves the residual unchanged.
-    """
-    history = []
-    res = beta
-    row = H[0, :k]
-    for j in range(k):
-        a, b = row[0], H[j + 1, j]
-        r = math.hypot(a, b)
-        c, s = (a / r, b / r) if r > 0 else (0.0, 1.0)
-        res *= abs(s)
-        history.append(float(res))
-        row = c * H[j + 1, j + 1:k] - s * row[1:]
-    return tuple(history)
-
-
 def gmres_poly_arnoldi(A, order, seed):
     """Minimum-residual polynomial of degree ``order`` in monomial form.
 
-    Runs ``order + 1`` Arnoldi steps from a random unit-norm right-hand side
-    and converts the Krylov-space solution into explicit monomial
-    coefficients through the change of basis accumulated during Arnoldi.
-    Intended for low orders; high orders should use the Newton form.
+    Runs up to ``order + 1`` Arnoldi steps from a random unit-norm
+    right-hand side and converts the Krylov-space solution into explicit
+    monomial coefficients through the change of basis accumulated during
+    Arnoldi.  Intended for low orders; high orders should use the Newton
+    form.
 
     The conversion divides by the Hessenberg subdiagonals, which amplifies
     roundoff once the generating residual approaches machine precision (a
@@ -314,10 +336,13 @@ def _with_added_roots(lead, paired, rel_tol):
 def gmres_poly_newton(A, order, seed):
     """Minimum-residual polynomial of degree ``order`` in factored Newton form.
 
-    Runs ``order + 1`` Arnoldi steps, takes the harmonic Ritz values (the
-    roots of the residual polynomial) through a rank-revealing path, orders
-    them in a Leja sequence with conjugate pairs kept adjacent, and adds
-    copies of clustered roots for stability of high-order application.
+    ``order`` is a cap: Arnoldi runs up to ``order + 1`` steps but stops
+    once its GMRES residual reaches rounding level (``_arnoldi``), so an
+    easy matrix gets a low ``effective_order``.  The harmonic Ritz values of
+    the ``(k+1) x k`` block it returns (the roots of the residual
+    polynomial) go through a rank-revealing path, are ordered in a Leja
+    sequence with conjugate pairs kept adjacent, and clustered roots get
+    copies for stability of high-order application.
     """
     if A.nrows != A.ncols:
         raise ValueError('require a square matrix')

@@ -45,7 +45,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 8
+    assert res['schema_version'] == 9
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',

@@ -746,17 +746,51 @@ def test_newton_build_makes_no_least_squares_call(monkeypatch):
     assert len(p.roots) >= p.effective_order + 1
 
 
-def test_newton_build_runs_no_residual_sweep(monkeypatch):
-    # The Givens sweep only picks the Arnoldi kind's degree; no solver keeps
-    # a residual history.
-    def refuse(*_):
-        raise AssertionError('the Newton build must not run the sweep')
+def test_newton_build_stops_arnoldi_at_rounding_level(monkeypatch):
+    # The order is a cap: Arnoldi carries the Givens recurrence and stops at
+    # the first step whose GMRES residual is at most eps * beta, so the
+    # build makes one SpMV per step taken and none after the floor.  The
+    # 12^2 pi/4 operator is a shifted nilpotent matrix whose Krylov space
+    # closes at step 23 (a lucky breakdown); the diagonally dominant matrix
+    # reaches the floor first.
+    calls = []
+    counted = polynomial.spmv
 
+    def counting(A, x):
+        calls.append(A.nrows)
+        return counted(A, x)
+
+    monkeypatch.setattr(polynomial, 'spmv', counting)
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, _ = build_advection_2d(AdvectionProblem(nx=12, ny=12, vx=vx, vy=vy))
-    monkeypatch.setattr(polynomial, '_residual_history', refuse)
-    gmres_poly_newton(A, order=100, seed=3)
+    dd = random_dd_matrix(np.random.default_rng(75), 120)
+    for M, breakdown in ((A, True), (dd, False)):
+        calls.clear()
+        p = gmres_poly_newton(M, order=100, seed=3)
+        steps = len(calls)
+        H, k, beta = _arnoldi(M, _random_unit_vector(M.nrows, 3), 101)
+        assert steps == k == p.effective_order + 1 < 101
+        history = np.array(_residual_history(H, k, beta))
+        floor = np.finfo(np.float64).eps * beta
+        assert history[-1] <= floor < history[-2]
+        assert (H[k, k - 1] == 0.0) == breakdown
+        assert np.max(np.abs(history - reference_residual_history(H, k,
+                                                                   beta))) \
+            <= 1e-13 * beta
     assert 'residual_history' not in {f.name for f in fields(PolySolver)}
+
+
+def test_newton_build_keeps_the_whole_krylov_space_of_a_chain():
+    # An upwind chain is a shifted nilpotent matrix: GMRES solves it only at
+    # step n, with residuals far above rounding level before.  A stop rule
+    # looser than eps * beta (1e-8 already) cuts this build short.
+    for n in (40, 96):
+        A = build_advection_1d(n, 1.0)
+        p = gmres_poly_newton(A, order=100, seed=3)
+        assert p.effective_order == n - 1
+        b = _random_unit_vector(n, 9)
+        assert np.linalg.norm(b - spmv(A, apply_matrix_free(p, A, b))) \
+            <= 1e-12
 
 
 def test_arnoldi_build_makes_one_least_squares_call(monkeypatch):
