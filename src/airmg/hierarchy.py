@@ -13,8 +13,6 @@ smooths fine points only and never applies ``P``, which, like the level
 matrix, is an intermediate of the Galerkin product.
 """
 
-import contextlib
-import contextvars
 import logging
 import math
 import time
@@ -185,13 +183,16 @@ class Hierarchy:
     """The complete multigrid: per-level operators, the F-point smooths per
     level of a cycle, the coarsest matrix and its polynomial solver, the
     truncation tests in the order they ran, and the global complexity
-    metrics."""
+    metrics.  ``flops_per_cycle`` is ``count_cycle_flops`` of the finished
+    hierarchy, counted once by ``setup``; ``cycle_complexity`` is that count
+    over one top-grid SpMV (``2 * nnz``)."""
 
     levels: list
     coarsest_A: SparseMatrix
     coarse_solver: PolySolver
     top_A: SparseMatrix
     f_smooths: int = 1
+    flops_per_cycle: int = 0
     cycle_complexity: float = 0.0
     storage_complexity: float = 0.0
     grid_complexity: float = 0.0
@@ -333,31 +334,16 @@ def _resolve_truncate_start(cfg, n_top):
     return int(np.ceil(np.log2(n_top / reach))) + 2
 
 
-# The list that ``setup`` collects ``TruncationTest``s in while it calls
-# ``try_truncate``.  The test hands its record over here so that its
-# signature and its return (the solver or ``None``), which callers wrap and
-# patch, stay as they are.
-_TRUNCATION_TESTS = contextvars.ContextVar('truncation_tests', default=None)
-
-
-@contextlib.contextmanager
-def _recording_truncation_tests(tests):
-    token = _TRUNCATION_TESTS.set(tests)
-    try:
-        yield
-    finally:
-        _TRUNCATION_TESTS.reset(token)
-
-
-def try_truncate(A, cfg, level):
+def try_truncate(A, cfg, level, record):
     """Tentative high-order coarse solver test for early truncation.
 
     Builds the coarse polynomial, applies it once matrix-free to an
-    independent random right-hand side, and accepts (returning the solver)
-    when the relative residual meets ``auto_truncate_tol``.  Construction
-    failures are logged and treated as "keep coarsening".  ``setup`` decides
-    the levels at which it is called (``_resolve_truncate_start``) and keeps
-    a ``TruncationTest`` of each call.
+    independent random right-hand side, and accepts (returning the solver,
+    else ``None``) when the relative residual meets ``auto_truncate_tol``.
+    Construction failures are logged and treated as "keep coarsening".
+    Each test appends its ``TruncationTest`` to the list ``record``;
+    ``setup`` decides the levels at which it is called
+    (``_resolve_truncate_start``) and passes its own list.
     """
     if cfg.auto_truncate_tol is None:
         return None
@@ -376,11 +362,9 @@ def try_truncate(A, cfg, level):
         if not math.isfinite(residual):
             residual = None
     accepted = residual is not None and residual <= cfg.auto_truncate_tol
-    tests = _TRUNCATION_TESTS.get()
-    if tests is not None:
-        tests.append(TruncationTest(level=level, n=A.nrows,
-                                    effective_order=order, residual=residual,
-                                    accepted=accepted))
+    record.append(TruncationTest(level=level, n=A.nrows,
+                                 effective_order=order, residual=residual,
+                                 accepted=accepted))
     return solver if accepted else None
 
 
@@ -415,9 +399,9 @@ def setup(A, cfg):
                          cfg.max_levels, current.nrows)
             break
         if level >= truncate_start:
-            with (_Timer(timings, 'truncation'),
-                  _recording_truncation_tests(truncation_tests)):
-                coarse_solver = try_truncate(current, cfg, level)
+            with _Timer(timings, 'truncation'):
+                coarse_solver = try_truncate(current, cfg, level,
+                                             truncation_tests)
             if coarse_solver is not None:
                 truncated_at = level
                 break
@@ -456,7 +440,8 @@ def setup(A, cfg):
         if L.f_smoother_assembled is not None:
             retained += L.f_smoother_assembled.nnz
     H.storage_complexity = (retained + A.nnz + H.coarsest_A.nnz) / A.nnz
-    H.cycle_complexity = count_cycle_flops(H) / (2.0 * A.nnz)
+    H.flops_per_cycle = count_cycle_flops(H)
+    H.cycle_complexity = H.flops_per_cycle / (2.0 * A.nnz)
     H.grid_complexity = (sum(L.n for L in H.levels)
                          + H.coarsest_A.nrows) / A.nrows
     return H

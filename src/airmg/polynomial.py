@@ -100,30 +100,18 @@ def _givens_step(H, j, rotations):
     return abs(s)
 
 
-def _residual_history(H, k, beta):
-    """GMRES residual norms after steps ``1..k`` of the Hessenberg block
-    ``H``: the Givens steps that ``_arnoldi`` runs, replayed."""
-    rotations = []
-    history = []
-    res = beta
-    for j in range(k):
-        res *= _givens_step(H, j, rotations)
-        history.append(float(res))
-    return tuple(history)
-
-
 def _arnoldi(A, b, m):
     """Arnoldi with classical Gram-Schmidt twice, in two blocked sweeps.
 
     Twice is enough (Giraud, Langou & Rozložník, Comput. Math. Appl. 2005).
-    Returns ``(H, k, beta)``: the ``(k+1) x k`` Hessenberg block and
-    ``beta = ||b||``.  ``m`` is a cap on the steps.  Each step carries the
-    GMRES residual by one Givens rotation (``_givens_step``), and Arnoldi
-    stops at the first step whose residual is at most ``eps * beta``: the
-    Krylov space already solves ``b`` to rounding level, so further steps
-    add degrees but no accuracy.  A lucky breakdown also stops it, when the
-    subdiagonal falls below ``1e-14`` of the running maximum Hessenberg
-    column norm.
+    Returns ``(H, k, beta, history)``: the ``(k+1) x k`` Hessenberg block,
+    ``beta = ||b||`` and the GMRES residual norms after steps ``1..k``.
+    ``m`` is a cap on the steps.  Each step carries the GMRES residual by
+    one Givens rotation (``_givens_step``), and Arnoldi stops at the first
+    step whose residual is at most ``eps * beta``: the Krylov space already
+    solves ``b`` to rounding level, so further steps add degrees but no
+    accuracy.  A lucky breakdown also stops it, when the subdiagonal falls
+    below ``1e-14`` of the running maximum Hessenberg column norm.
     """
     n = A.nrows
     m = min(m, n)
@@ -135,6 +123,7 @@ def _arnoldi(A, b, m):
     V[0] = b / beta
     floor = np.finfo(np.float64).eps * beta
     rotations = []
+    history = []
     res = beta
     hmax = 0.0
     k = m
@@ -150,13 +139,14 @@ def _arnoldi(A, b, m):
         if hnorm <= _BREAKDOWN_REL * hmax:
             H[j + 1, j] = 0.0
         res *= _givens_step(H, j, rotations)
+        history.append(res)
         if H[j + 1, j] == 0.0 or res <= floor:
             k = j + 1
             break
         V[j + 1] = w / hnorm
     if np.max(np.abs(H[:k + 1, :k])) == 0.0:
         raise ValueError('matrix is numerically zero on the Krylov space')
-    return H[:k + 1, :k], k, beta
+    return H[:k + 1, :k], k, beta, tuple(history)
 
 
 def gmres_poly_arnoldi(A, order, seed):
@@ -181,8 +171,7 @@ def gmres_poly_arnoldi(A, order, seed):
         raise ValueError('order must be non-negative')
     b = _random_unit_vector(A.nrows, seed)
     m = order + 1
-    H, k, beta = _arnoldi(A, b, m)
-    history = _residual_history(H, k, beta)
+    H, k, beta, history = _arnoldi(A, b, m)
     # Columns of C express each basis vector as a polynomial in A applied to
     # the start vector: V[j] = sum_i C[i, j] A^i v0.
     C = np.zeros((k, k))
@@ -349,7 +338,7 @@ def gmres_poly_newton(A, order, seed):
     if order < 1:
         raise ValueError('order must be at least 1')
     b = _random_unit_vector(A.nrows, seed)
-    H, k, _ = _arnoldi(A, b, order + 1)
+    H, k, *_ = _arnoldi(A, b, order + 1)
     theta, k = _harmonic_ritz(H, k)
     if np.any(np.abs(theta) == 0):
         raise ValueError('zero harmonic Ritz value; residual polynomial '

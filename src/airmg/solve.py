@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import count_cycle_flops
 from .polynomial import apply_matrix_free
 from .sparse import _norm, spmv
 
@@ -55,7 +54,9 @@ class SolveConfig:
 class SolveStats:
     """Iteration record for one solve; ``residual_history[0]`` is the initial
     unpreconditioned residual norm.  Its ``convergence_factor`` is the mean
-    per-iteration residual reduction, ``None`` when no iteration ran."""
+    per-iteration residual reduction, ``None`` when no iteration ran.
+    ``flops_per_cycle`` is the count ``setup`` stored on the hierarchy
+    (``Hierarchy.flops_per_cycle``)."""
 
     iterations: int
     residual_history: list
@@ -158,5 +159,5 @@ def richardson_solve(H, b, x0, cfg):
         converged = rnorm <= threshold
     stats = SolveStats(iterations=iterations, residual_history=history,
                        converged=converged,
-                       flops_per_cycle=count_cycle_flops(H))
+                       flops_per_cycle=H.flops_per_cycle)
     return x, stats

@@ -208,15 +208,6 @@ def _row_max(values, row_of, nrows):
     return out
 
 
-def _entry_keys(A):
-    """Row-major linear keys of the stored entries (strictly increasing)."""
-    if A.ncols == 0 or A.nnz == 0:
-        return np.zeros(0, dtype=_INDEX)
-    if A.nrows > (2**62) // A.ncols:
-        raise ValueError('matrix too large for linear entry keys')
-    return _row_index(A) * _INDEX(A.ncols) + A.col_indices
-
-
 def validate(A):
     """Check the canonical-form invariants, raising ``ValueError`` on violation."""
     offs, cols, vals = A.row_offsets, A.col_indices, A.values
@@ -390,7 +381,11 @@ def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):
     insert = np.flatnonzero(lumped)
     if len(insert) == 0:
         return kept
-    pos = np.searchsorted(_entry_keys(kept), insert * A.ncols + insert)
+    # An inserted diagonal goes after the kept entries of its row that lie
+    # left of it.
+    left = np.bincount(row_of[keep & (A.col_indices < row_of)],
+                       minlength=A.nrows)
+    pos = kept.row_offsets[insert] + left[insert]
     offsets = kept.row_offsets + np.searchsorted(insert, np.arange(A.nrows + 1))
     return SparseMatrix(A.nrows, A.ncols, offsets,
                         np.insert(kept.col_indices, pos, insert),

@@ -220,7 +220,7 @@ def test_coarse_matrix_zero_drop_keeps_everything():
 def test_try_truncate_identity_succeeds():
     A = SparseMatrix.identity(40)
     cfg = SetupConfig(coarsest_poly_order=4, auto_truncate_tol=0.1)
-    solver = try_truncate(A, cfg, level=0)
+    solver = try_truncate(A, cfg, 0, [])
     assert solver is not None
     b = np.arange(1.0, 41.0)
     assert np.allclose(apply_matrix_free(solver, A, b), b, rtol=1e-12)
@@ -229,7 +229,7 @@ def test_try_truncate_identity_succeeds():
 def test_try_truncate_small_spectrum_succeeds():
     A = SparseMatrix.from_dense(np.diag(np.arange(1.0, 6.0)))
     cfg = SetupConfig(coarsest_poly_order=10, auto_truncate_tol=0.1)
-    assert try_truncate(A, cfg, level=0) is not None
+    assert try_truncate(A, cfg, 0, []) is not None
 
 
 def test_try_truncate_threshold_semantics():
@@ -247,8 +247,13 @@ def test_try_truncate_threshold_semantics():
                          auto_truncate_tol=res * (1 + 1e-9), seed=0)
     reject = SetupConfig(coarsest_poly_order=order,
                          auto_truncate_tol=res * (1 - 1e-9), seed=0)
-    assert try_truncate(A, accept, level) is not None
-    assert try_truncate(A, reject, level) is None
+    record = []
+    assert try_truncate(A, accept, level, record) is not None
+    assert try_truncate(A, reject, level, record) is None
+    assert [(t.level, t.n, t.accepted) for t in record] == \
+        [(level, A.nrows, True), (level, A.nrows, False)]
+    # Within rounding: the test's norm is not the library's fixed-order one.
+    assert [t.residual for t in record] == pytest.approx([res, res], rel=1e-12)
 
 
 def test_try_truncate_respects_start_level(monkeypatch):
@@ -256,9 +261,9 @@ def test_try_truncate_respects_start_level(monkeypatch):
     A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
     levels = []
 
-    def counting(A, cfg, level):
+    def counting(A, cfg, level, record):
         levels.append(level)
-        return try_truncate(A, cfg, level)
+        return try_truncate(A, cfg, level, record)
 
     monkeypatch.setattr(hierarchy, 'try_truncate', counting)
     setup(A, SetupConfig())

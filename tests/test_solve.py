@@ -158,7 +158,8 @@ def test_cycle_flops_increase_with_smoothing():
     _, stats = richardson_solve(two, np.zeros(A.nrows), np.ones(A.nrows),
                                 SolveConfig(max_iters=50))
     assert stats.converged
-    assert stats.flops_per_cycle == count_cycle_flops(two)
+    assert two.flops_per_cycle == count_cycle_flops(two) == \
+        stats.flops_per_cycle
 
 
 def test_truncated_hierarchy_fewer_levels_higher_complexity():

@@ -137,6 +137,45 @@ def test_no_module_calls_linalg_norm():
     assert calls == []
 
 
+def airmg_imports(path):
+    """Names of the airmg modules that a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            dotted = (['airmg.' + node.module] if node.module
+                      else ['airmg.' + alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [node.module + '.' + alias.name for alias in node.names]
+        else:
+            continue
+        names.update(d.split('.')[1] for d in dotted
+                     if d.startswith('airmg.'))
+    return names
+
+
+def test_modules_import_only_lower_layers():
+    """The library is layered, so a result computed in one layer reaches the
+    next by value: ``solve`` reports the flop count that ``setup`` stored
+    instead of importing ``hierarchy`` to recount it.  The command line and
+    the package ``__init__`` sit on top and may import any module."""
+    allowed = {
+        'sparse': set(),
+        'problems': {'sparse'},
+        'splitting': {'sparse'},
+        'polynomial': {'sparse'},
+        'hierarchy': {'polynomial', 'sparse', 'splitting'},
+        'solve': {'polynomial', 'sparse'},
+    }
+    src = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'airmg'
+    modules = {path.stem for path in src.glob('*.py')}
+    assert set(allowed) == modules - {'__init__', 'cli'}
+    for name, may in allowed.items():
+        extra = airmg_imports(src / f'{name}.py') - may
+        assert not extra, (name, sorted(extra))
+
+
 def test_spgemm_identity_left_bit_identical():
     rng = np.random.default_rng(5)
     B = random_sparse(rng, 6, 4, 0.5)
@@ -345,6 +384,19 @@ def test_drop_and_lump_inserts_missing_diagonal():
     # row 0 has no stored diagonal; the dropped 1e-9 must land there
     assert got.to_dense()[0, 0] == 1e-9
     assert np.allclose(got.to_dense().sum(axis=1), A.to_dense().sum(axis=1))
+    # Diagonals inserted at a row's start (row 0), mid-row (rows 1 and 3)
+    # and at a row's end (row 2), all in one call; row 4 lumps onto the
+    # diagonal it stores.
+    D = np.array([[0.0, 1.0, 0.0, 0.0, 1e-9],
+                  [1.0, 0.0, 2.0, 1e-9, 0.0],
+                  [3.0, 1e-9, 0.0, 0.0, 0.0],
+                  [1.0, 2e-9, 0.0, 0.0, 5.0],
+                  [1e-9, 0.0, 0.0, 0.0, 1.0]])
+    got = validate(drop_and_lump(SparseMatrix.from_dense(D), 1e-6, lump=True))
+    want = np.where(np.abs(D) < 1e-6, 0.0, D)
+    want[np.diag_indices(5)] += [1e-9, 1e-9, 1e-9, 2e-9, 1e-9]
+    assert np.array_equal(got.to_dense(), want)
+    assert got.nnz == np.count_nonzero(want)
 
 
 def test_drop_and_lump_nonsquare_lump_error():
