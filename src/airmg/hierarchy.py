@@ -24,8 +24,8 @@ from .polynomial import (COEFF_KINDS, POLY_KINDS, PolySolver,
                          _poly_apply_flops, _random_unit_vector,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
-from .sparse import (SparseMatrix, _add, _norm, _row_index, _row_max,
-                     drop_and_lump, extract, spgemm, spmv)
+from .sparse import (_INDEX, SparseMatrix, _add, _norm, _row_index,
+                     _row_max, drop_and_lump, extract, spgemm, spmv)
 from .splitting import CFSplit, cf_split
 
 __all__ = [
@@ -254,9 +254,10 @@ def build_restriction(A, split, cfg, level=0, timings=None):
         # in the level's ordering and the sum with the disjoint unit C block
         # drops nothing.
         n_c = len(c)
-        z_block = replace(Z, ncols=A.nrows, col_indices=f[Z.col_indices])
-        c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=np.int64),
-                               c, np.ones(n_c))
+        z_cols = f[Z.col_indices.astype(np.intp)].astype(_INDEX)
+        z_block = replace(Z, ncols=A.nrows, col_indices=z_cols)
+        c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=_INDEX),
+                               c.astype(_INDEX), np.ones(n_c))
         R = _add(z_block, c_block)
     return R, A_ff, A_fc, smoother, assembled
 
@@ -283,12 +284,14 @@ def build_prolongation(A_fc, split):
     absv = np.abs(A_fc.values)
     row_of = _row_index(A_fc)
     at_max = np.flatnonzero(absv == _row_max(absv, row_of, A_fc.nrows)[row_of])
-    first = np.full(A_fc.nrows, A_fc.nnz, dtype=np.int64)
+    # ``first`` takes ``at_max``'s dtype: ``ufunc.at`` is fast only when the
+    # target and the values match.
+    first = np.full(A_fc.nrows, A_fc.nnz, dtype=at_max.dtype)
     np.minimum.at(first, row_of[at_max], at_max)
-    cols = np.empty(n, dtype=np.int64)
+    cols = np.empty(n, dtype=_INDEX)
     cols[f] = A_fc.col_indices[first]
-    cols[c] = np.arange(n_c, dtype=np.int64)
-    return SparseMatrix(n, n_c, np.arange(n + 1, dtype=np.int64), cols,
+    cols[c] = np.arange(n_c, dtype=_INDEX)
+    return SparseMatrix(n, n_c, np.arange(n + 1, dtype=_INDEX), cols,
                         np.ones(n))
 
 

@@ -61,7 +61,7 @@ def build_advection_2d(problem):
         raise ValueError('build_advection_2d requires ny >= 1; '
                          'use build_advection_1d for 1-D problems')
     n = p.nx * p.ny
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(n, dtype=np.intp)
     i = idx % p.nx
     j = idx // p.nx
     rows = [idx]
@@ -89,7 +89,7 @@ def build_advection_1d(n, vx):
         raise ValueError('require n >= 1')
     if vx <= 0:
         raise ValueError('require vx > 0')
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(n, dtype=np.intp)
     rows = np.concatenate([idx, idx[1:]])
     cols = np.concatenate([idx, idx[1:] - 1])
     vals = np.concatenate([np.full(n, float(vx)), np.full(n - 1, -float(vx))])

@@ -5,7 +5,18 @@ form: row offsets non-decreasing, column indices strictly increasing within
 each row, no duplicate entries, no NaN/inf values.  Explicit zeros are legal
 stored entries.  Products and sums (``spgemm``, ``spgemm_fixed_sparsity``,
 ``_add``) do not store entries that cancel to exactly zero; beyond that only
-``drop_and_lump`` removes entries.  All indices are 0-based 64-bit integers.
+``drop_and_lump`` removes entries.
+
+Row offsets and column indices are 0-based ``_INDEX`` (int32) integers,
+scipy's own width for every matrix that fits it, so the cached scipy view
+wraps them without a copy and a scipy result is kept as it comes.  The
+entry points that take outside arrays refuse any dimension, entry count or
+index that int32 cannot hold instead of letting it wrap.  Index arrays that
+numpy gathers or scatters through (``extract``'s row and column sets, a
+split's F and C points, the row of each entry from ``_row_index``) are
+``np.intp``: numpy indexes through int32 arrays several times slower than
+through its native width, so hot gathers through stored indices widen them
+first.
 
 Setup forms ``Z`` and both halves of ``R A P`` with the public ``spgemm``,
 which ``hierarchy`` calls by name, so the benchmark's tracer, which rebinds
@@ -53,11 +64,26 @@ __all__ = [
     'write_matrix_market',
 ]
 
-_INDEX = np.int64
+_INDEX = np.int32
+_INDEX_MAX = int(np.iinfo(_INDEX).max)
 _VALUE = np.float64
 
 
+def _check_fits(nrows, ncols, nnz):
+    """Refuse a shape or entry count whose indices ``_INDEX`` cannot hold."""
+    if max(nrows, ncols, nnz) > _INDEX_MAX:
+        raise ValueError(f'{nrows}x{ncols} matrix with {nnz} entries does '
+                         f'not fit the {np.dtype(_INDEX).name} range')
+
+
 def _as_offsets(arr):
+    """``arr`` as a contiguous ``_INDEX`` array, refusing values that would
+    wrap; an array already of that width is returned as it is."""
+    arr = np.asarray(arr)
+    if arr.dtype != _INDEX and arr.size:
+        if arr.min() < -_INDEX_MAX - 1 or arr.max() > _INDEX_MAX:
+            raise ValueError(f'index value outside the '
+                             f'{np.dtype(_INDEX).name} range')
     return np.ascontiguousarray(arr, dtype=_INDEX)
 
 
@@ -73,9 +99,9 @@ class SparseMatrix:
     ----------
     nrows, ncols : int
         Matrix dimensions.
-    row_offsets : ndarray (int64, length nrows+1)
+    row_offsets : ndarray (int32, length nrows+1)
         Start of each row in ``col_indices``/``values``.
-    col_indices : ndarray (int64)
+    col_indices : ndarray (int32)
         Column index of each stored entry, strictly increasing per row.
     values : ndarray (float64)
         Stored entry values; explicit zeros are permitted.
@@ -90,17 +116,19 @@ class SparseMatrix:
     @classmethod
     def csr(cls, nrows, ncols, row_offsets, col_indices, values):
         """Build from CSR arrays, validating canonical form."""
+        _check_fits(nrows, ncols, len(values))
         return validate(cls(int(nrows), int(ncols), _as_offsets(row_offsets),
                             _as_offsets(col_indices), _as_values(values)))
 
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, values):
         """Build from coordinate triplets; sorts entries and sums duplicates."""
-        rows = _as_offsets(rows)
-        cols = _as_offsets(cols)
         values = _as_values(values)
         if not (len(rows) == len(cols) == len(values)):
             raise ValueError('coordinate arrays must have equal length')
+        _check_fits(nrows, ncols, len(values))
+        rows = _as_offsets(rows)
+        cols = _as_offsets(cols)
         if len(rows) and (rows.min() < 0 or rows.max() >= nrows
                           or cols.min() < 0 or cols.max() >= ncols):
             raise ValueError('coordinate entry out of range')
@@ -136,10 +164,12 @@ class SparseMatrix:
     def _from_scipy(cls, m):
         """Wrap a scipy CSR result whose rows hold no duplicate columns.
 
+        scipy's int32 offsets and indices are kept as they are, not copied.
         Rows are sorted in place when the kernel left them unsorted, so pass
         only temporaries that nothing else holds.
         """
         m = m.tocsr()
+        _check_fits(m.shape[0], m.shape[1], m.nnz)
         if not m.has_sorted_indices:
             m.sort_indices()
         return cls(int(m.shape[0]), int(m.shape[1]), _as_offsets(m.indptr),
@@ -147,11 +177,11 @@ class SparseMatrix:
 
     @cached_property
     def _scipy(self):
-        """scipy CSR view sharing ``values``, built on first use.
+        """scipy CSR view sharing all three arrays, built on first use.
 
-        scipy copies the offsets and column indices down to int32 when they
-        fit, and ``spmv`` runs on that copy: the narrower indices move less
-        memory per product than ``col_indices`` would.
+        The int32 offsets and column indices are scipy's own index width, so
+        scipy wraps them without a copy and ``spmv`` reads ``col_indices``
+        itself.
         """
         m = _spsparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
                                  shape=(self.nrows, self.ncols), copy=False)
@@ -178,8 +208,8 @@ class SparseMatrix:
 
 
 def _row_index(A):
-    """Row index of each stored entry."""
-    return np.repeat(np.arange(A.nrows, dtype=_INDEX), np.diff(A.row_offsets))
+    """Row index of each stored entry, as a gather index (``np.intp``)."""
+    return np.repeat(np.arange(A.nrows, dtype=np.intp), np.diff(A.row_offsets))
 
 
 def _keep_entries(A, keep):
@@ -187,7 +217,8 @@ def _keep_entries(A, keep):
     kept_before = np.zeros(A.nnz + 1, dtype=_INDEX)
     np.cumsum(keep, out=kept_before[1:])
     kept = np.flatnonzero(keep)
-    return SparseMatrix(A.nrows, A.ncols, kept_before[A.row_offsets],
+    return SparseMatrix(A.nrows, A.ncols,
+                        kept_before[A.row_offsets.astype(np.intp)],
                         A.col_indices[kept], A.values[kept])
 
 
@@ -306,7 +337,7 @@ def spgemm_fixed_sparsity(A, B, pattern):
 
 
 def _as_index_set(indices, limit, name):
-    idx = _as_offsets(indices)
+    idx = np.ascontiguousarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError(f'{name} index set must be one-dimensional')
     if len(idx):
@@ -329,7 +360,7 @@ def extract(A, rows, cols):
     col_member = np.zeros(A.ncols, dtype=bool)
     col_member[cols] = True
     kept = _keep_entries(A, np.repeat(row_member, np.diff(A.row_offsets))
-                         & col_member[A.col_indices])
+                         & col_member[A.col_indices.astype(np.intp)])
     # Rows outside ``rows`` keep no entries, so each kept row ends where the
     # next one in ``rows`` starts.
     offsets = np.zeros(len(rows) + 1, dtype=_INDEX)
@@ -337,7 +368,7 @@ def extract(A, rows, cols):
     colmap = np.zeros(A.ncols, dtype=_INDEX)
     colmap[cols] = np.arange(len(cols), dtype=_INDEX)
     return SparseMatrix(len(rows), len(cols), offsets,
-                        colmap[kept.col_indices], kept.values)
+                        colmap[kept.col_indices.astype(np.intp)], kept.values)
 
 
 def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):
@@ -386,7 +417,8 @@ def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):
     left = np.bincount(row_of[keep & (A.col_indices < row_of)],
                        minlength=A.nrows)
     pos = kept.row_offsets[insert] + left[insert]
-    offsets = kept.row_offsets + np.searchsorted(insert, np.arange(A.nrows + 1))
+    offsets = kept.row_offsets + np.searchsorted(
+        insert, np.arange(A.nrows + 1)).astype(_INDEX)
     return SparseMatrix(A.nrows, A.ncols, offsets,
                         np.insert(kept.col_indices, pos, insert),
                         np.insert(kept.values, pos, lumped[insert]))
@@ -431,6 +463,7 @@ def read_matrix_market(path):
         if len(dims) != 3:
             raise ValueError('malformed size line')
         nrows, ncols, nnz = (int(t) for t in dims)
+        _check_fits(nrows, ncols, nnz)
         if nnz == 0:
             body = np.zeros((0, 3))
         else:
@@ -440,6 +473,7 @@ def read_matrix_market(path):
         body = body.reshape(0, 3)
     if body.shape[0] != nnz or (nnz and body.shape[1] != 3):
         raise ValueError('entry count does not match the size line')
-    rows = body[:, 0].astype(_INDEX) - 1
-    cols = body[:, 1].astype(_INDEX) - 1
+    # Read at full width, so from_coo refuses indices that int32 cannot hold.
+    rows = body[:, 0].astype(np.int64) - 1
+    cols = body[:, 1].astype(np.int64) - 1
     return SparseMatrix.from_coo(nrows, ncols, rows, cols, body[:, 2])

@@ -49,7 +49,10 @@ class StrengthGraph:
 
 @dataclass(frozen=True)
 class CFSplit:
-    """Per-unknown F/C labels with the sorted index sets of both classes."""
+    """Per-unknown F/C labels with the sorted index sets of both classes.
+
+    The index sets are ``np.intp``: the V-cycle gathers and scatters through
+    them, and numpy indexes fastest with its native width."""
 
     labels: np.ndarray
     f_set: np.ndarray
@@ -58,9 +61,8 @@ class CFSplit:
     @classmethod
     def from_labels(cls, labels):
         labels = np.ascontiguousarray(labels, dtype=np.int8)
-        return cls(labels,
-                   np.flatnonzero(labels == F_POINT).astype(np.int64),
-                   np.flatnonzero(labels == C_POINT).astype(np.int64))
+        return cls(labels, np.flatnonzero(labels == F_POINT),
+                   np.flatnonzero(labels == C_POINT))
 
     @property
     def n(self):
@@ -140,10 +142,11 @@ def pmisr(graph, seed):
     n, degrees = graph.n, np.diff(graph.row_offsets)
     weights = _luby_weights(degrees.astype(np.float64), seed)
     # Each undirected edge once, as (lo, hi) with lo < hi: lo beats hi
-    # exactly when w_lo >= w_hi.
-    lo = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    # exactly when w_lo >= w_hi.  The rounds gather through both ends, so
+    # they are ``np.intp``.
+    lo = np.repeat(np.arange(n, dtype=np.intp), degrees)
     upper = np.flatnonzero(graph.col_indices > lo)
-    lo, hi = lo[upper], graph.col_indices[upper]
+    lo, hi = lo[upper], graph.col_indices[upper].astype(np.intp)
     state = np.full(n, _UNDECIDED, dtype=np.int8)
     while np.any(state == _UNDECIDED):
         beaten = state != _UNDECIDED
@@ -169,7 +172,7 @@ def _dominance_ratios(A, split, view=None):
         bad = split.f_set[int(np.flatnonzero(diag == 0)[0])]
         raise ValueError(f'zero diagonal in fine-fine block (fine row {bad}); '
                          'splitting is not usable for reduction')
-    offdiag = np.where(split.labels[A.col_indices] == F_POINT,
+    offdiag = np.where(split.labels[A.col_indices.astype(np.intp)] == F_POINT,
                        view.offdiag_abs, 0.0)
     offsum = np.bincount(view.row_of, weights=offdiag, minlength=A.nrows)
     return offsum[split.f_set] / diag
@@ -218,7 +221,8 @@ def _repair_split(A, split, view):
     leave the one-point prolongator no column to pick; their ideal
     interpolation weight is zero, so keeping them coarse is harmless."""
     coupled = np.zeros(A.nrows, dtype=bool)
-    at_c = np.flatnonzero(split.labels[A.col_indices] == C_POINT)
+    at_c = np.flatnonzero(split.labels[A.col_indices.astype(np.intp)]
+                          == C_POINT)
     coupled[view.row_of[at_c]] = True
     isolated = ~coupled[split.f_set]
     if not np.any(isolated):

@@ -422,6 +422,27 @@ def test_setup_deterministic():
     assert s1 == s2
 
 
+def test_setup_keeps_one_index_width():
+    """Every matrix setup builds stores int32 offsets and column indices,
+    and its scipy view wraps those arrays instead of copying them."""
+    A, _ = build_advection_2d(AdvectionProblem(nx=64, ny=64,
+                                               vx=np.cos(np.pi / 4),
+                                               vy=np.sin(np.pi / 4)))
+    H = setup(A, SetupConfig())
+    assert H.levels
+    mats = [H.top_A, H.coarsest_A]
+    mats += [M for L in H.levels for M in (L.R, L.A_ff, L.A_fc)]
+    for M in mats:
+        assert M.row_offsets.dtype == np.int32
+        assert M.col_indices.dtype == np.int32
+        assert np.shares_memory(M._scipy.indices, M.col_indices)
+        assert np.shares_memory(M._scipy.indptr, M.row_offsets)
+        assert np.shares_memory(M._scipy.data, M.values)
+    for L in H.levels:
+        assert L.split.f_set.dtype == np.intp
+        assert L.split.c_set.dtype == np.intp
+
+
 def test_setup_storage_complexity_recomputable_from_summary():
     A, _ = build_advection_2d(AdvectionProblem(nx=24, ny=24, vx=0.9, vy=0.3))
     for mf in (True, False):

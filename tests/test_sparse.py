@@ -137,6 +137,27 @@ def test_no_module_calls_linalg_norm():
     assert calls == []
 
 
+def test_only_sparse_module_names_an_index_width():
+    """One index width: matrix indices are ``sparse._INDEX`` (int32, scipy's
+    own width), and index sets that gather or scatter are ``np.intp``.  No
+    other module names a fixed integer width, as ``np.int64`` or as a dtype
+    string."""
+    src = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'airmg'
+    widths = {'int32', 'int64'}
+    named = []
+    for path in sorted(src.glob('*.py')):
+        if path.name == 'sparse.py':
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if ((isinstance(node, ast.Attribute) and node.attr in widths)
+                    or (isinstance(node, ast.Constant)
+                        and node.value in widths)
+                    or (isinstance(node, ast.Name) and node.id in widths)):
+                named.append(f'{path.name}:{node.lineno}')
+    assert named == []
+    assert sparse._INDEX is np.int32
+
+
 def airmg_imports(path):
     """Names of the airmg modules that a source file imports."""
     names = set()
@@ -494,6 +515,37 @@ def test_outside_input_must_be_finite(tmp_path):
                     '2 2 2\n1 1 nan\n2 1 inf\n')
     with pytest.raises(ValueError, match='finite'):
         read_matrix_market(path)
+
+
+def test_outside_input_must_fit_the_index_width(tmp_path):
+    # 2**32 + 5 narrowed by a plain cast is 5, a valid column of an 8-column
+    # matrix; 2**31 + 5 would wrap negative.  Both are refused, not wrapped.
+    for col in (2 ** 32 + 5, 2 ** 31 + 5):
+        cols = np.array([0, col, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match='int32 range'):
+            SparseMatrix.csr(3, 8, [0, 1, 2, 3], cols, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match='int32 range'):
+            SparseMatrix.from_coo(3, 8, [0, 1, 2], cols, [1.0, 2.0, 3.0])
+        path = tmp_path / 'wide.mtx'
+        path.write_text('%%MatrixMarket matrix coordinate real general\n'
+                        f'3 8 3\n1 1 1.0\n2 {col + 1} 2.0\n3 2 3.0\n')
+        with pytest.raises(ValueError, match='int32 range'):
+            read_matrix_market(path)
+    # Dimensions and entry counts are checked before any array is narrowed.
+    with pytest.raises(ValueError, match='int32 range'):
+        SparseMatrix.csr(1, 2 ** 31, [0, 1], [2 ** 31 - 1], [1.0])
+    with pytest.raises(ValueError, match='int32 range'):
+        SparseMatrix.from_coo(2 ** 31, 1, [0], [0], [1.0])
+    path = tmp_path / 'tall.mtx'
+    path.write_text('%%MatrixMarket matrix coordinate real general\n'
+                    f'{2 ** 31} 1 1\n1 1 1.0\n')
+    with pytest.raises(ValueError, match='int32 range'):
+        read_matrix_market(path)
+    wide = sps.csr_matrix(([1.0], [2 ** 31 + 5], [0, 1]),
+                          shape=(1, 2 ** 31 + 6))
+    assert wide.indices.dtype == np.int64
+    with pytest.raises(ValueError, match='int32 range'):
+        SparseMatrix._from_scipy(wide)
 
 
 def test_drop_and_lump_skips_rows_with_one_entry(monkeypatch):
