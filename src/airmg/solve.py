@@ -133,10 +133,16 @@ def richardson_solve(H, b, x0, cfg):
     x = np.array(x0, dtype=np.float64, copy=True)
     if len(b) != A.nrows or len(x) != A.nrows:
         raise ValueError('right-hand side or initial guess has wrong length')
-    r = b - spmv(A, x)
-    rnorm = float(_norm(r))
-    history = [rnorm]
     bnorm = float(_norm(b))
+    if np.any(x):
+        r = b - spmv(A, x)
+        rnorm = float(_norm(r))
+    else:
+        # Each row of ``A 0`` sums to +0.0 and ``b - 0.0`` is ``b``, so this
+        # is the same residual without the product.  ``r`` aliases ``b``:
+        # nothing below writes into it.
+        r, rnorm = b, bnorm
+    history = [rnorm]
     reference = bnorm if bnorm > 0 else rnorm
     threshold = max(cfg.rtol * reference, cfg.atol)
     if not np.isfinite(rnorm):

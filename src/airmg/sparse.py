@@ -8,36 +8,42 @@ stored entries.  Products and sums (``spgemm``, ``spgemm_fixed_sparsity``,
 ``drop_and_lump`` removes entries.
 
 Row offsets and column indices are 0-based ``_INDEX`` (int32) integers,
-scipy's own width for every matrix that fits it, so the cached scipy view
-wraps them without a copy and a scipy result is kept as it comes.  The
-entry points that take outside arrays refuse any dimension, entry count or
-index that int32 cannot hold instead of letting it wrap.  Index arrays that
-numpy gathers or scatters through (``extract``'s row and column sets, a
-split's F and C points, the row of each entry from ``_row_index``) are
-``np.intp``: numpy indexes through int32 arrays several times slower than
-through its native width, so hot gathers through stored indices widen them
-first.
+scipy's own width, so scipy's compiled kernels read a matrix's arrays as they
+are.  The entry points that take outside arrays refuse any dimension, entry
+count or index that int32 cannot hold instead of letting it wrap.  Index
+arrays that numpy gathers or scatters through (``extract``'s row and column
+sets, a split's F and C points, the row of each entry from ``_row_index``)
+are ``np.intp``: numpy indexes through int32 arrays several times slower
+than through its native width, so hot gathers through stored indices widen
+them first.
 
 Setup forms ``Z`` and both halves of ``R A P`` with the public ``spgemm``,
 which ``hierarchy`` calls by name, so the benchmark's tracer, which rebinds
 that name, sees every general product of setup.
 
-Setup builds CSR in one of three ways: a scipy result (a product, a sum from
-``_add``, a masked power sum from ``_masked_power_sum``, an elementwise mask)
-becomes canonical in ``SparseMatrix._from_scipy``, which no other module
-calls; a subset of a matrix's stored entries is taken by ``_keep_entries``;
-operators with one entry per row (the one-point prolongator) are written
-directly.  ``SparseMatrix.from_coo`` sorts and sums
-coordinate triplets and is meant for outside input, such as test problems and
-Matrix Market files.
+Setup builds CSR in one of three ways: a kernel's output buffers (a product,
+a sum from ``_add``, a masked power sum from ``_masked_power_sum``, an
+elementwise mask) become canonical in ``_finish``, which trims them in place
+and sorts rows only when the kernel left them unsorted; the entries of a
+matrix are selected by ``_keep_entries`` or ``extract``; operators with one
+entry per row (the one-point prolongator) are written directly.
+``SparseMatrix.from_coo`` sorts and sums coordinate triplets and is meant
+for outside input, such as test problems and Matrix Market files.
 
 scipy is the sparse backend, and this is the only module that imports it.
-Products and conversions go through its public ``csr_matrix``.  ``spmv``
-calls the CSR matrix-vector kernel of ``scipy.sparse._sparsetools``, the one
-private scipy name used anywhere: it is the kernel that ``csr_matrix @ x``
-reaches, so results are bitwise equal, but the solve makes thousands of
-products with matrices of a few dozen rows, where the dispatch around
-``@`` costs more than the kernel.
+Its one import is ``scipy.sparse._sparsetools``, the compiled CSR kernels
+behind scipy's matrix classes; no scipy matrix object is built.  Each
+operation here runs the kernel that scipy's public one reaches (``@`` on
+matrices and on vectors, ``+``, ``.multiply``, fancy indexing), so results
+are bitwise equal to it, without two costs around it.  A scipy product
+first runs the symbolic ``csr_matmat_maxnnz`` to size its output, the first
+pass of Bank and Douglas's two-pass SpGEMM (SMMP, Adv. Comput. Math. 1993);
+here the multiply-add count, one pass over the index arrays, bounds the
+output instead, and the symbolic pass runs only when that bound exceeds
+int32.  And each scipy operation constructs and checks matrix objects,
+which costs more than the kernel on coarse levels of a few dozen rows,
+where setup makes many products and the solve thousands of matrix-vector
+products.
 
 Inner products and norms that feed a decision come from ``_dot``/``_norm``,
 whose order is fixed by the shapes; BLAS ``ddot`` splits long sums by thread.
@@ -45,10 +51,8 @@ whose order is fixed by the shapes; BLAS ``ddot`` splits long sums by thread.
 
 import io
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as _spsparse
 from scipy.sparse import _sparsetools
 
 __all__ = [
@@ -160,34 +164,6 @@ class SparseMatrix:
         offsets = np.arange(n + 1, dtype=_INDEX)
         return cls(n, n, offsets, idx, np.ones(n, dtype=_VALUE))
 
-    @classmethod
-    def _from_scipy(cls, m):
-        """Wrap a scipy CSR result whose rows hold no duplicate columns.
-
-        scipy's int32 offsets and indices are kept as they are, not copied.
-        Rows are sorted in place when the kernel left them unsorted, so pass
-        only temporaries that nothing else holds.
-        """
-        m = m.tocsr()
-        _check_fits(m.shape[0], m.shape[1], m.nnz)
-        if not m.has_sorted_indices:
-            m.sort_indices()
-        return cls(int(m.shape[0]), int(m.shape[1]), _as_offsets(m.indptr),
-                   _as_offsets(m.indices), _as_values(m.data))
-
-    @cached_property
-    def _scipy(self):
-        """scipy CSR view sharing all three arrays, built on first use.
-
-        The int32 offsets and column indices are scipy's own index width, so
-        scipy wraps them without a copy and ``spmv`` reads ``col_indices``
-        itself.
-        """
-        m = _spsparse.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                                 shape=(self.nrows, self.ncols), copy=False)
-        m.has_sorted_indices = True
-        return m
-
     @property
     def nnz(self):
         return int(self.row_offsets[-1])
@@ -224,11 +200,12 @@ def _keep_entries(A, keep):
 
 def _symmetric_pattern(A):
     """Row offsets and sorted column indices of the pattern of ``A + A^T``."""
-    K = _spsparse.csr_matrix((np.ones(A.nnz, dtype=bool), A.col_indices,
-                              A.row_offsets), shape=(A.nrows, A.ncols))
-    closure = K + K.T.tocsr()
-    closure.sort_indices()
-    return _as_offsets(closure.indptr), _as_offsets(closure.indices)
+    unit = replace(A, values=np.ones(A.nnz, dtype=_VALUE))
+    transpose = _buffers(A.ncols, A.nnz)
+    _sparsetools.csr_tocsc(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                           unit.values, *transpose)
+    closure = _add(unit, SparseMatrix(A.ncols, A.nrows, *transpose))
+    return closure.row_offsets, closure.col_indices
 
 
 def _row_max(values, row_of, nrows):
@@ -265,16 +242,16 @@ def validate(A):
 def spmv(A, x):
     """Sparse matrix-vector product ``A @ x`` into a new vector.
 
-    Runs scipy's CSR kernel on the cached ``A._scipy`` view directly, the
-    same kernel and summation order as ``A._scipy @ x`` without the dispatch.
+    Runs scipy's CSR kernel on ``A``'s own arrays: the kernel and summation
+    order of scipy's ``csr_matrix @ x``, without the dispatch around it.
     """
     x = np.asarray(x, dtype=_VALUE)
     if x.ndim != 1 or len(x) != A.ncols:
         raise ValueError(f'vector of length {len(x)} incompatible with '
                          f'{A.nrows}x{A.ncols} matrix')
-    m = A._scipy
     y = np.zeros(A.nrows, dtype=_VALUE)
-    _sparsetools.csr_matvec(A.nrows, A.ncols, m.indptr, m.indices, m.data, x, y)
+    _sparsetools.csr_matvec(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                            A.values, x, y)
     return y
 
 
@@ -288,34 +265,94 @@ def _norm(y):
     return np.sqrt(_dot(y, y))
 
 
+def _buffers(nrows, bound):
+    """Output arrays for a kernel that writes at most ``bound`` entries."""
+    return (np.empty(nrows + 1, dtype=_INDEX), np.empty(bound, dtype=_INDEX),
+            np.empty(bound, dtype=_VALUE))
+
+
+def _finish(nrows, ncols, offsets, cols, values):
+    """Canonical matrix from a kernel's output buffers.
+
+    The buffers are trimmed in place to the entries written, so no kept
+    array is a view of a larger buffer; rows are sorted only when the kernel
+    left them unsorted.  Pass only fresh buffers that nothing else holds.
+    """
+    nnz = int(offsets[-1])
+    cols.resize(nnz, refcheck=False)
+    values.resize(nnz, refcheck=False)
+    if not _sparsetools.csr_has_sorted_indices(nrows, offsets, cols):
+        _sparsetools.csr_sort_indices(nrows, offsets, cols, values)
+    return SparseMatrix(nrows, ncols, offsets, cols, values)
+
+
 def _add(A, B):
-    """``A + B`` from one scipy sum; exact cancellations are not stored."""
-    return SparseMatrix._from_scipy(A._scipy + B._scipy)
+    """``A + B``; exact cancellations are not stored.
+
+    scipy's ``csr_plus_csr`` merges canonical rows in order, so the sum is
+    canonical; its output is sized by scipy's own bound, ``nnz(A) + nnz(B)``,
+    which must fit the index width.
+    """
+    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
+        raise ValueError(f'cannot add {A.nrows}x{A.ncols} and '
+                         f'{B.nrows}x{B.ncols}')
+    bound = A.nnz + B.nnz
+    _check_fits(A.nrows, A.ncols, bound)
+    out = _buffers(A.nrows, bound)
+    _sparsetools.csr_plus_csr(A.nrows, A.ncols, A.row_offsets, A.col_indices,
+                              A.values, B.row_offsets, B.col_indices, B.values,
+                              *out)
+    return _finish(A.nrows, A.ncols, *out)
 
 
 def _masked_power_sum(coeffs, base, pattern):
-    """``sum_k coeffs[k] * base^k``, summed left to right in scipy; exact
+    """``sum_k coeffs[k] * base^k``, summed left to right by ``_add``; exact
     cancellations are not stored.  Each power past ``base`` is the previous
     one times ``base`` kept to ``pattern``, formed by ``spgemm_fixed_sparsity``
     under its module name, so a tracer that rebinds the name sees each one."""
-    acc = coeffs[0] * SparseMatrix.identity(base.nrows)._scipy
+    eye = SparseMatrix.identity(base.nrows)
+    acc = replace(eye, values=coeffs[0] * eye.values)
     power = base
     for k in range(1, len(coeffs)):
         if k > 1:
             power = spgemm_fixed_sparsity(power, base, pattern)
-        acc = acc + coeffs[k] * power._scipy
-    return SparseMatrix._from_scipy(acc)
+        acc = _add(acc, replace(power, values=coeffs[k] * power.values))
+    return acc
 
 
-def spgemm(A, B):
-    """Sparse matrix-matrix product ``A @ B`` from one scipy product.
+def _matmat(A, B):
+    """``A @ B`` from scipy's numeric ``csr_matmat`` alone, in its buffers:
+    rows in the kernel's order, arrays possibly longer than the entries.
 
-    Entries that cancel to exactly zero are not stored: they carry no value
-    into the solve.
+    The buffers are sized by the multiply-add count, which bounds the
+    stored entries and costs one pass over the index arrays.  Only when
+    that count exceeds the index width does scipy's symbolic pass,
+    ``csr_matmat_maxnnz``, give the exact count, which must fit.
     """
     if A.ncols != B.nrows:
         raise ValueError(f'cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}')
-    return SparseMatrix._from_scipy(A._scipy @ B._scipy)
+    bound = int(np.bincount(A.col_indices, minlength=A.ncols)
+                @ np.diff(B.row_offsets))
+    if bound > _INDEX_MAX:
+        bound = int(_sparsetools.csr_matmat_maxnnz(
+            A.nrows, B.ncols, A.row_offsets, A.col_indices, B.row_offsets,
+            B.col_indices))
+        _check_fits(A.nrows, B.ncols, bound)
+    out = _buffers(A.nrows, bound)
+    _sparsetools.csr_matmat(A.nrows, B.ncols, A.row_offsets, A.col_indices,
+                            A.values, B.row_offsets, B.col_indices, B.values,
+                            *out)
+    return out
+
+
+def spgemm(A, B):
+    """Sparse matrix-matrix product ``A @ B``.
+
+    Bitwise equal to scipy's ``csr_matrix @``, whose numeric kernel it runs.
+    Entries that cancel to exactly zero are not stored: they carry no value
+    into the solve.
+    """
+    return _finish(A.nrows, B.ncols, *_matmat(A, B))
 
 
 def spgemm_fixed_sparsity(A, B, pattern):
@@ -324,16 +361,21 @@ def spgemm_fixed_sparsity(A, B, pattern):
     Entries of the true product outside the pattern are discarded, not lumped.
     As in ``spgemm``, entries that cancel to exactly zero are not stored,
     even inside the pattern.  The pattern's stored values, explicit zeros
-    included, only mark positions: the unsorted scipy product is multiplied
-    elementwise by a unit-valued copy of ``pattern`` and made canonical by
-    ``SparseMatrix._from_scipy``, so only the kept entries are sorted.
+    included, only mark positions: scipy's ``csr_elmul_csr`` multiplies the
+    unsorted product by a unit-valued copy of ``pattern``, so only the kept
+    entries are sorted.  The product's entry count sizes the output: a
+    pattern position the product does not store gives a zero, which is not
+    stored.  ``nnz(pattern)`` is no bound, because an inf or NaN product
+    entry outside the pattern gives NaN, which is.
     """
-    if A.ncols != B.nrows:
-        raise ValueError(f'cannot multiply {A.nrows}x{A.ncols} by {B.nrows}x{B.ncols}')
     if pattern.nrows != A.nrows or pattern.ncols != B.ncols:
         raise ValueError('pattern shape must match the product shape')
-    mask = replace(pattern, values=np.ones(pattern.nnz, dtype=_VALUE))
-    return SparseMatrix._from_scipy((A._scipy @ B._scipy).multiply(mask._scipy))
+    offsets, cols, values = _matmat(A, B)
+    out = _buffers(A.nrows, int(offsets[-1]))
+    _sparsetools.csr_elmul_csr(A.nrows, B.ncols, offsets, cols, values,
+                               pattern.row_offsets, pattern.col_indices,
+                               np.ones(pattern.nnz, dtype=_VALUE), *out)
+    return _finish(A.nrows, B.ncols, *out)
 
 
 def _as_index_set(indices, limit, name):
@@ -355,20 +397,27 @@ def extract(A, rows, cols):
     """
     rows = _as_index_set(rows, A.nrows, 'row')
     cols = _as_index_set(cols, A.ncols, 'column')
-    row_member = np.zeros(A.nrows, dtype=bool)
-    row_member[rows] = True
-    col_member = np.zeros(A.ncols, dtype=bool)
-    col_member[cols] = True
-    kept = _keep_entries(A, np.repeat(row_member, np.diff(A.row_offsets))
-                         & col_member[A.col_indices.astype(np.intp)])
-    # Rows outside ``rows`` keep no entries, so each kept row ends where the
-    # next one in ``rows`` starts.
-    offsets = np.zeros(len(rows) + 1, dtype=_INDEX)
-    offsets[1:] = kept.row_offsets[rows + 1]
-    colmap = np.zeros(A.ncols, dtype=_INDEX)
-    colmap[cols] = np.arange(len(cols), dtype=_INDEX)
-    return SparseMatrix(len(rows), len(cols), offsets,
-                        colmap[kept.col_indices.astype(np.intp)], kept.values)
+    n_rows, n_cols = len(rows), len(cols)
+    # scipy's fancy-index kernels: whole rows first, then the kept columns,
+    # renumbered in order, so each row stays sorted.
+    row_offsets = np.zeros(n_rows + 1, dtype=_INDEX)
+    np.cumsum(A.row_offsets[rows + 1] - A.row_offsets[rows],
+              out=row_offsets[1:])
+    row_cols = np.empty(row_offsets[-1], dtype=_INDEX)
+    row_values = np.empty(row_offsets[-1], dtype=_VALUE)
+    _sparsetools.csr_row_index(n_rows, rows.astype(_INDEX), A.row_offsets,
+                               A.col_indices, A.values, row_cols, row_values)
+    col_ends = np.zeros(A.ncols, dtype=_INDEX)
+    offsets = np.empty(n_rows + 1, dtype=_INDEX)
+    _sparsetools.csr_column_index1(n_cols, cols.astype(_INDEX), n_rows,
+                                   A.ncols, row_offsets, row_cols, col_ends,
+                                   offsets)
+    out_cols = np.empty(offsets[-1], dtype=_INDEX)
+    out_values = np.empty(offsets[-1], dtype=_VALUE)
+    _sparsetools.csr_column_index2(np.arange(n_cols, dtype=_INDEX), col_ends,
+                                   len(row_cols), row_cols, row_values,
+                                   out_cols, out_values)
+    return SparseMatrix(n_rows, n_cols, offsets, out_cols, out_values)
 
 
 def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):

@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from airmg import polynomial, sparse
 from airmg import (PolySolver, SparseMatrix, apply_matrix_free,
@@ -393,24 +394,35 @@ def test_assemble_neumann_masked_oracle():
 
 
 def scipy_loop_assembly(p, A):
-    """The fixed-sparsity assembly as one scipy loop: identity and powers
-    summed left to right, each power past the first masked to ``I + A``."""
-    eye = SparseMatrix.identity(A.nrows)._scipy
-    unit = SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
-                        np.ones(A.nnz))
-    pattern = SparseMatrix._from_scipy(eye + unit._scipy)
+    """The fixed-sparsity assembly as one scipy loop on scipy matrices built
+    from the public arrays: identity and powers summed left to right, each
+    power past the first masked to ``I + A``."""
+    def to_scipy(M):
+        return sps.csr_matrix((M.values, M.col_indices, M.row_offsets),
+                              shape=(M.nrows, M.ncols))
+
+    def canonical(m):
+        m.sort_indices()
+        return SparseMatrix.csr(m.shape[0], m.shape[1], m.indptr, m.indices,
+                                m.data)
+
+    eye = sps.identity(A.nrows, format='csr')
+    unit = sps.csr_matrix((np.ones(A.nnz), A.col_indices, A.row_offsets),
+                          shape=(A.nrows, A.ncols))
+    pattern = canonical(eye + unit)
     base = A
     if p.kind == 'neumann':
-        scaled = SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
-                              -p.diag_scale[_row_index(A)] * A.values)
-        base = SparseMatrix._from_scipy(eye + scaled._scipy)
+        scaled = sps.csr_matrix(
+            (-p.diag_scale[_row_index(A)] * A.values, A.col_indices,
+             A.row_offsets), shape=(A.nrows, A.ncols))
+        base = canonical(eye + scaled)
     acc = p.coeffs[0] * eye
     power = base
     for k in range(1, len(p.coeffs)):
         if k > 1:
             power = spgemm_fixed_sparsity(power, base, pattern)
-        acc = acc + p.coeffs[k] * power._scipy
-    out = SparseMatrix._from_scipy(acc)
+        acc = acc + p.coeffs[k] * to_scipy(power)
+    out = canonical(acc)
     if p.kind == 'neumann':
         out = SparseMatrix(out.nrows, out.ncols, out.row_offsets,
                            out.col_indices,

@@ -8,6 +8,8 @@ from airmg import (AdvectionProblem, DivergenceError, SetupConfig,
                    build_advection_2d, build_prolongation, build_restriction,
                    cf_split, coarse_matrix, count_cycle_flops, extract,
                    richardson_solve, setup, spmv, vcycle)
+from airmg import solve
+from airmg.sparse import _norm
 
 
 def forward_substitution(A, b):
@@ -272,6 +274,44 @@ def test_solve_bitwise_deterministic():
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
     assert np.array_equal(runs[0][2], runs[1][2])
+
+
+def test_zero_initial_guess_skips_the_first_product(monkeypatch):
+    # With no nonzero entry in ``x0`` the initial residual is ``b`` itself:
+    # one top-level product fewer, and the bits of ``b - A x0``.
+    vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
+    H = setup(A, SetupConfig())
+    b = np.random.default_rng(15).standard_normal(A.nrows)
+
+    def reference(x0, iterations):
+        x = x0.copy()
+        r = b - spmv(A, x)
+        history = [float(_norm(r))]
+        for _ in range(iterations):
+            x += vcycle(H, 0, r)
+            r = b - spmv(A, x)
+            history.append(float(_norm(r)))
+        return x, history
+
+    top = []
+
+    def counting(M, x):
+        top.append(M is H.top_A)
+        return spmv(M, x)
+
+    monkeypatch.setattr(solve, 'spmv', counting)
+    for x0, first in ((np.zeros(A.nrows), 0), (np.full(A.nrows, -0.0), 0),
+                      (np.ones(A.nrows), 1)):
+        top.clear()
+        b_before = b.copy()
+        x, stats = richardson_solve(H, b, x0, SolveConfig())
+        assert stats.converged and stats.iterations > 0
+        assert sum(top) == stats.iterations + first
+        assert np.array_equal(b, b_before)
+        want_x, want_history = reference(x0, stats.iterations)
+        assert stats.residual_history == want_history
+        assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
 
 
 def test_solve_config_validation():

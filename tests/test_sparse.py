@@ -17,6 +17,12 @@ from airmg import sparse
 from structural_spgemm import assert_same_without_zeros, structural_spgemm
 
 
+def to_scipy(A):
+    """scipy copy of ``A``, built from its public arrays."""
+    return sps.csr_matrix((A.values.copy(), A.col_indices.copy(),
+                           A.row_offsets.copy()), shape=(A.nrows, A.ncols))
+
+
 def random_sparse(rng, nrows, ncols, density):
     mask = rng.random((nrows, ncols)) < density
     dense = np.where(mask, rng.uniform(-1.0, 1.0, (nrows, ncols)), 0.0)
@@ -65,7 +71,7 @@ def test_spmv_bitwise_equals_scipy_matmul():
         x = rng.uniform(-1, 1, ncols)
         got = spmv(A, x)
         assert got.dtype == np.float64 and got.shape == (nrows,)
-        assert np.array_equal(got, A._scipy @ x)
+        assert np.array_equal(got, to_scipy(A) @ x)
         if nrows == 30:
             assert np.any(np.diff(A.row_offsets) == 0)
             assert np.any(A.values == 0.0)
@@ -75,20 +81,26 @@ def test_spmv_accepts_strided_integer_and_list_vectors():
     rng = np.random.default_rng(13)
     A = random_with_empty_rows_and_zeros(rng, 20, 20)
     wide = rng.uniform(-1, 1, 40)
-    assert np.array_equal(spmv(A, wide[::2]), A._scipy @ wide[::2])
+    m = to_scipy(A)
+    assert np.array_equal(spmv(A, wide[::2]), m @ wide[::2])
     ints = np.arange(-10, 10)
-    assert np.array_equal(spmv(A, ints), A._scipy @ ints.astype(np.float64))
+    assert np.array_equal(spmv(A, ints), m @ ints.astype(np.float64))
     listed = [float(v) for v in wide[:20]]
-    assert np.array_equal(spmv(A, listed), A._scipy @ wide[:20])
+    assert np.array_equal(spmv(A, listed), m @ wide[:20])
 
 
 def test_setup_and_solve_do_not_use_scipy_matvec_dispatch(monkeypatch):
-    def refuse(self, other):
-        raise AssertionError('a product went through csr_matrix @ vector')
+    # Setup and solve run scipy's kernels on the matrices' own arrays: no
+    # scipy matrix is built, no product goes through ``@``, and no product
+    # pays for scipy's symbolic sizing pass.
+    def refuse(*args, **kwargs):
+        raise AssertionError('setup or solve went through a scipy matrix')
 
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, _ = build_advection_2d(AdvectionProblem(nx=32, ny=32, vx=vx, vy=vy))
     monkeypatch.setattr(_compressed._cs_matrix, '_matmul_vector', refuse)
+    monkeypatch.setattr(_compressed._cs_matrix, '__init__', refuse)
+    monkeypatch.setattr(sparse._sparsetools, 'csr_matmat_maxnnz', refuse)
     H = setup(A, SetupConfig())
     b = np.random.default_rng(14).uniform(-1, 1, A.nrows)
     x, stats = richardson_solve(H, b, np.zeros(A.nrows), SolveConfig())
@@ -98,8 +110,8 @@ def test_setup_and_solve_do_not_use_scipy_matvec_dispatch(monkeypatch):
 
 def test_only_sparse_module_imports_scipy():
     """One module owns the sparse backend: only ``sparse.py`` imports scipy,
-    and scipy's private ``_sparsetools``, the cached ``_scipy`` views and
-    ``SparseMatrix._from_scipy`` are named nowhere else."""
+    its one scipy name is the compiled-kernel module ``_sparsetools``, and
+    no other module names ``_sparsetools`` or a scipy matrix view."""
     src = pathlib.Path(__file__).resolve().parents[1] / 'src' / 'airmg'
     modules = sorted(src.glob('*.py'))
     assert any(path.name == 'sparse.py' for path in modules)
@@ -110,12 +122,13 @@ def test_only_sparse_module_imports_scipy():
             if isinstance(node, ast.Import):
                 imported += [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.append(node.module)
-        uses_scipy = any(m.split('.')[0] == 'scipy' for m in imported)
+                imported += [f'{node.module}.{alias.name}'
+                             for alias in node.names]
+        scipy_names = [m for m in imported if m.split('.')[0] == 'scipy']
         if path.name == 'sparse.py':
-            assert uses_scipy
+            assert scipy_names == ['scipy.sparse._sparsetools']
         else:
-            assert not uses_scipy, path.name
+            assert not scipy_names, path.name
             assert '_sparsetools' not in text, path.name
             assert not re.search(r'\b_(from_)?scipy\b', text), path.name
 
@@ -247,17 +260,23 @@ def test_spgemm_numeric_drops_cancellation_zeros():
 
 
 def test_from_scipy_sorts_unsorted_rows():
-    # rows deliberately unsorted; every value must stay with its column
+    # Kernel output with rows deliberately unsorted, in buffers longer than
+    # the entries: every value must stay with its column, and the kept
+    # arrays are trimmed in place, not views of the buffers.
     m = sps.csr_matrix((np.array([3.0, 1.0, 2.0, 5.0, 4.0]),
                         np.array([2, 0, 1, 3, 0]),
                         np.array([0, 3, 3, 5])), shape=(3, 4))
     assert not m.has_sorted_indices
     expected = m.toarray()
-    got = SparseMatrix._from_scipy(m)
+    cols = np.concatenate([m.indices, np.full(3, -1, dtype=np.int32)])
+    values = np.concatenate([m.data, np.full(3, np.nan)])
+    got = sparse._finish(3, 4, m.indptr.copy(), cols, values)
     validate(got)
     assert np.array_equal(got.row_offsets, [0, 3, 3, 5])
     assert np.array_equal(got.col_indices, [0, 1, 2, 0, 3])
     assert np.array_equal(got.to_dense(), expected)
+    for arr in (got.col_indices, got.values):
+        assert arr.base is None and arr.size == 5
 
 
 def test_spgemm_dimension_mismatch():
@@ -275,6 +294,91 @@ def test_spgemm_associativity():
         right = spgemm(A, spgemm(B, C)).to_dense()
         scale = max(np.max(np.abs(left)), 1.0)
         assert np.max(np.abs(left - right)) <= 1e-12 * scale
+
+
+def cancelling_sparse(rng, nrows, ncols, density=0.35):
+    """Random CSR with empty rows and stored explicit zeros whose values,
+    drawn from a few small integers, make products and sums cancel
+    exactly."""
+    keep = rng.random((nrows, ncols)) < density
+    keep[rng.random(nrows) < 0.2] = False
+    rows, cols = np.nonzero(keep)
+    values = rng.choice([-2.0, -1.0, 1.0, 2.0], size=len(rows))
+    values[rng.random(len(rows)) < 0.1] = 0.0
+    return SparseMatrix.from_coo(nrows, ncols, rows, cols, values)
+
+
+def assert_equals_scipy(got, m):
+    """``got`` holds the bits of the scipy result ``m``, rows sorted."""
+    m = m.tocsr()
+    m.sort_indices()
+    validate(got)
+    assert (got.nrows, got.ncols) == m.shape
+    assert np.array_equal(got.row_offsets, m.indptr)
+    assert np.array_equal(got.col_indices, m.indices)
+    assert np.array_equal(got.values.view(np.uint64), m.data.view(np.uint64))
+
+
+KERNEL_SHAPES = [(30, 30, 30), (7, 9, 5), (9, 7, 12), (1, 1, 1), (0, 4, 3),
+                 (4, 0, 3), (5, 6, 0), (0, 0, 0)]
+
+
+@pytest.mark.parametrize('m, k, n', KERNEL_SHAPES)
+def test_kernels_bitwise_equal_scipy_public_operations(m, k, n):
+    """``spgemm``, ``_add``, ``spgemm_fixed_sparsity`` and ``extract`` run
+    scipy's kernels directly and give the bits of scipy's ``@``, ``+``,
+    ``.multiply`` and fancy indexing."""
+    rng = np.random.default_rng(1000 + 100 * m + 10 * k + n)
+    cancelled = 0
+    for _ in range(4):
+        A, B = cancelling_sparse(rng, m, k), cancelling_sparse(rng, k, n)
+        C = random_with_empty_rows_and_zeros(rng, m, k)
+        product = to_scipy(A) @ to_scipy(B)
+        assert_equals_scipy(spgemm(A, B), product)
+        assert_equals_scipy(spgemm(C, B), to_scipy(C) @ to_scipy(B))
+        # Positions with a nonzero term whose terms sum to exactly zero.
+        cancelled += (abs(to_scipy(A)) @ abs(to_scipy(B))).nnz - product.nnz
+        assert_equals_scipy(sparse._add(A, C), to_scipy(A) + to_scipy(C))
+        P = random_with_empty_rows_and_zeros(rng, m, n)
+        unit = sps.csr_matrix((np.ones(P.nnz), P.col_indices, P.row_offsets),
+                              shape=(m, n))
+        assert_equals_scipy(spgemm_fixed_sparsity(A, B, P),
+                            product.multiply(unit))
+        rows = np.flatnonzero(rng.random(m) < 0.6)
+        cols = np.flatnonzero(rng.random(k) < 0.6)
+        assert_equals_scipy(extract(A, rows, cols), to_scipy(A)[rows][:, cols])
+    if m == k == n == 30:
+        assert cancelled > 0
+        assert np.any(A.values == 0.0) and np.any(np.diff(A.row_offsets) == 0)
+
+
+def test_product_count_past_the_index_width(monkeypatch):
+    """A product whose multiply-add count exceeds the index width is sized
+    by scipy's exact symbolic count; one whose entries exceed it is
+    refused."""
+    calls = []
+    real = sparse._sparsetools.csr_matmat_maxnnz
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    full = SparseMatrix.from_dense(np.arange(1.0, 17.0).reshape(4, 4))
+    column = SparseMatrix.from_dense(np.ones((5, 1)))
+    row = SparseMatrix.from_dense(np.ones((1, 5)))
+    monkeypatch.setattr(sparse._sparsetools, 'csr_matmat_maxnnz', counting)
+    monkeypatch.setattr(sparse, '_INDEX_MAX', 20)
+    want = to_scipy(full) @ to_scipy(full)
+    # 16 multiply-adds: the count is the bound.
+    assert_equals_scipy(spgemm(full, SparseMatrix.identity(4)), to_scipy(full))
+    assert calls == []
+    # 64 multiply-adds for 16 entries.
+    assert_equals_scipy(spgemm(full, full), want)
+    assert_equals_scipy(spgemm_fixed_sparsity(full, full, full), want)
+    assert len(calls) == 2
+    # 25 multiply-adds for 25 entries.
+    with pytest.raises(ValueError, match='int32 range'):
+        spgemm(column, row)
 
 
 def test_fixed_sparsity_full_pattern_is_unrestricted():
@@ -545,7 +649,8 @@ def test_outside_input_must_fit_the_index_width(tmp_path):
                           shape=(1, 2 ** 31 + 6))
     assert wide.indices.dtype == np.int64
     with pytest.raises(ValueError, match='int32 range'):
-        SparseMatrix._from_scipy(wide)
+        SparseMatrix.csr(1, wide.shape[1], wide.indptr, wide.indices,
+                         wide.data)
 
 
 def test_drop_and_lump_skips_rows_with_one_entry(monkeypatch):

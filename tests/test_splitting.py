@@ -10,6 +10,7 @@ from airmg import splitting
 from airmg.hierarchy import _SEED_SPLIT, _derive_seed
 from airmg.sparse import _row_index
 from airmg.splitting import _dominance_ratios, _level_view
+from golden import permuted
 
 
 def all_fine(n):
@@ -102,13 +103,6 @@ def with_signed_zeros(rng, A):
     values[rng.random(A.nnz) < 0.1] = -0.0
     return SparseMatrix(A.nrows, A.ncols, A.row_offsets, A.col_indices,
                         values)
-
-
-def permuted(A, seed):
-    """``Q A Q^T`` for a random permutation ``Q``."""
-    inv = np.argsort(np.random.default_rng(seed).permutation(A.nrows))
-    return SparseMatrix.from_coo(A.nrows, A.ncols, inv[_row_index(A)],
-                                 inv[A.col_indices], A.values)
 
 
 def check_independent_and_maximal(closure_dense, labels):
