@@ -29,7 +29,7 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # Each config field is one flag, ``--field-name``; boolean fields get paired
 # --flag/--no-flag options, and an ``X | None`` field also takes the literal

@@ -79,7 +79,6 @@ class SetupConfig:
     ddc_its: int = 2
     poly_order: int = 6
     inverse_type: str = 'arnoldi'
-    matrix_free_polys: bool = True
     a_drop: float = 1e-5
     r_drop: float = 1e-2
     a_lump: bool = True
@@ -150,7 +149,8 @@ class Level:
     ``R`` is ``n_c x n`` acting on vectors in the level's fine ordering (its
     C columns form an identity, its F columns hold ``Z``).  The one-point
     prolongator is not kept: the cycle never applies it, and
-    ``build_prolongation(A_fc, split)`` rebuilds it.  ``nnz_A`` records the
+    ``build_prolongation(A_fc, split)`` rebuilds it.  The cycle smooths with
+    ``f_smoother`` applied matrix-free on ``A_ff``.  ``nnz_A`` records the
     size of the level matrix before it was discarded.
     """
 
@@ -161,8 +161,9 @@ class Level:
     split: CFSplit
     n: int
     nnz_A: int
-    f_smoother_assembled: SparseMatrix = None
     ddc_stats: tuple = ()
+    # Not a field: always None; its only reader is perfbench/layers.py.
+    f_smoother_assembled = None
 
 
 @dataclass(frozen=True)
@@ -224,16 +225,15 @@ class _Timer:
 def build_restriction(A, split, cfg, level=0, timings=None):
     """Approximate ideal restriction and the operators kept for smoothing.
 
-    Extracts the split blocks, builds the fine-block polynomial (shared by
-    the smoother and, in assembled fixed-sparsity form, by the restriction),
-    forms ``Z = -A_cf * Ahat_ff^-1`` and scatters ``[Z I]`` into the level's
-    fine ordering.  Entries dropped from the ``Z`` block by ``r_drop`` are
-    discarded, not lumped.
+    Extracts the split blocks, builds the fine-block polynomial (the
+    smoother, applied matrix-free), assembles it with the fixed sparsity of
+    ``A_ff`` as ``Ahat_ff^-1`` only to form ``Z = -A_cf * Ahat_ff^-1``, and
+    scatters ``[Z I]`` into the level's fine ordering.  Entries dropped from
+    the ``Z`` block by ``r_drop`` are discarded, not lumped.
 
     Returns
     -------
-    (R, A_ff, A_fc, f_smoother, assembled) -- ``assembled`` is the
-    fixed-sparsity inverse of ``A_ff``; ``build_prolongation`` takes ``A_fc``.
+    (R, A_ff, A_fc, f_smoother) -- ``build_prolongation`` takes ``A_fc``.
     """
     f, c = split.f_set, split.c_set
     with _Timer(timings, 'extract'):
@@ -259,7 +259,7 @@ def build_restriction(A, split, cfg, level=0, timings=None):
         c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=_INDEX),
                                c.astype(_INDEX), np.ones(n_c))
         R = _add(z_block, c_block)
-    return R, A_ff, A_fc, smoother, assembled
+    return R, A_ff, A_fc, smoother
 
 
 def build_prolongation(A_fc, split):
@@ -417,16 +417,14 @@ def setup(A, cfg):
             _log.info('level %d needs no further reduction; building the '
                       'coarse solver directly', level)
             break
-        R, A_ff, A_fc, smoother, assembled = build_restriction(
+        R, A_ff, A_fc, smoother = build_restriction(
             current, split, cfg, level=level, timings=timings)
         with _Timer(timings, 'prolongator'):
             P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(current, R, P, cfg, timings=timings)
         levels.append(Level(
             R=R, A_ff=A_ff, A_fc=A_fc, f_smoother=smoother, split=split,
-            n=current.nrows, nnz_A=current.nnz,
-            f_smoother_assembled=None if cfg.matrix_free_polys else assembled,
-            ddc_stats=tuple(ddc_stats)))
+            n=current.nrows, nnz_A=current.nnz, ddc_stats=tuple(ddc_stats)))
         current = coarse
         level += 1
     if coarse_solver is None:
@@ -437,11 +435,7 @@ def setup(A, cfg):
                   f_smooths=len(cfg.smooth_type), truncated_at=truncated_at,
                   truncation_tests=tuple(truncation_tests),
                   setup_breakdown=timings)
-    retained = 0
-    for L in H.levels:
-        retained += L.A_ff.nnz + L.A_fc.nnz + L.R.nnz
-        if L.f_smoother_assembled is not None:
-            retained += L.f_smoother_assembled.nnz
+    retained = sum(L.A_ff.nnz + L.A_fc.nnz + L.R.nnz for L in H.levels)
     H.storage_complexity = (retained + A.nnz + H.coarsest_A.nnz) / A.nnz
     H.flops_per_cycle = count_cycle_flops(H)
     H.cycle_complexity = H.flops_per_cycle / (2.0 * A.nnz)
@@ -470,8 +464,7 @@ def count_cycle_flops(H):
     * matrix-free smoother application of degree ``d``: ``2*n + d*(2*nnz +
       2*n)`` for coefficient form, ``2*n + d*(2*nnz + 6*n)`` for the Neumann
       series, ``2*nnz + 4*n`` per real root and ``4*nnz + 10*n`` per
-      conjugate pair for the Newton form; an assembled smoother costs one
-      SpMV.
+      conjugate pair for the Newton form.
     """
     total = sum(_level_cycle_flops(L, H.f_smooths) for L in H.levels)
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
@@ -482,10 +475,7 @@ def count_cycle_flops(H):
 def _level_cycle_flops(L, f_smooths):
     """FLOPs that level ``L`` adds to one V-cycle (``count_cycle_flops``)."""
     n_f = len(L.split.f_set)
-    if L.f_smoother_assembled is not None:
-        smooth = 2 * L.f_smoother_assembled.nnz
-    else:
-        smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
+    smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
     return (2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f + smooth
             + (f_smooths - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f))
 
@@ -508,9 +498,6 @@ def hierarchy_summary(H):
             'smoother_kind': L.f_smoother.kind,
             'smoother_order': int(L.f_smoother.order),
             'smoother_effective_order': int(L.f_smoother.effective_order),
-            'nnz_smoother_assembled':
-                None if L.f_smoother_assembled is None
-                else int(L.f_smoother_assembled.nnz),
             'ddc_passes': [asdict(s) for s in L.ddc_stats],
         })
     return {

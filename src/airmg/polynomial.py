@@ -12,7 +12,8 @@ updates only, no dot products during application):
 * ``neumann`` -- the truncated Neumann series ``sum_k (I - D^-1 A)^k D^-1``.
 
 Low-order solvers can also be assembled as sparse matrices with the sparsity
-of each matrix power constrained to the pattern of ``A`` plus its diagonal.
+of each matrix power constrained to the pattern of ``A`` plus its diagonal;
+the hierarchy does so only to form the restriction's ``Z`` block.
 """
 
 import math

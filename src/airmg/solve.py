@@ -85,12 +85,6 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def _smooth_apply(level, residual_f):
-    if level.f_smoother_assembled is not None:
-        return spmv(level.f_smoother_assembled, residual_f)
-    return apply_matrix_free(level.f_smoother, level.A_ff, residual_f)
-
-
 def vcycle(H, level, r):
     """Error estimate for ``A_level e = r`` from one V-cycle recursion."""
     if level == len(H.levels):
@@ -100,9 +94,10 @@ def vcycle(H, level, r):
     e_c = vcycle(H, level + 1, r_coarse)
     r_f = r[L.split.f_set]
     t = spmv(L.A_fc, e_c)
-    e_f = _smooth_apply(L, r_f - t)
+    e_f = apply_matrix_free(L.f_smoother, L.A_ff, r_f - t)
     for _ in range(H.f_smooths - 1):
-        e_f = e_f + _smooth_apply(L, r_f - t - spmv(L.A_ff, e_f))
+        e_f = e_f + apply_matrix_free(L.f_smoother, L.A_ff,
+                                      r_f - t - spmv(L.A_ff, e_f))
     e = np.zeros(L.n)
     e[L.split.f_set] = e_f
     e[L.split.c_set] = e_c

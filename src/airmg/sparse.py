@@ -174,11 +174,6 @@ class SparseMatrix:
         out[row_of, self.col_indices] = self.values
         return out
 
-    def row(self, i):
-        """Column indices and values of row ``i`` (views, do not modify)."""
-        lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-        return self.col_indices[lo:hi], self.values[lo:hi]
-
     def __repr__(self):
         return f'SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})'
 

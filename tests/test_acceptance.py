@@ -166,7 +166,7 @@ def test_criterion_04_ideal_restriction_property():
         A_ff = extract(A, split.f_set, split.f_set)
         assert A_ff.nnz == A_ff.nrows  # diagonal fine block
         cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
-        R, _, A_fc, _, _ = build_restriction(A, split, cfg)
+        R, _, A_fc, _ = build_restriction(A, split, cfg)
         P = build_prolongation(A_fc, split)
         A_coarse = coarse_matrix(A, R, P, cfg)
         rng = np.random.default_rng(4)

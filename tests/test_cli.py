@@ -45,7 +45,9 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 9
+    assert res['schema_version'] == 10
+    assert not any('nnz_smoother_assembled' in level
+                   for level in res['summary']['levels'])
     assert res['solve']['residual_history'][0] > 0
     breakdown = res['timings']['setup_breakdown']
     for phase in ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
@@ -144,7 +146,8 @@ def test_removed_flags_are_unknown():
                  ['--no-second-solve'], ['--compare-inverse-types'],
                  ['--auto-truncate-start-level', '3'], ['--nx', '8'],
                  ['--ny', '8'], ['--angle', '0.5'],
-                 ['--export-matrix', 'A.mtx']):
+                 ['--export-matrix', 'A.mtx'], ['--matrix-free-polys'],
+                 ['--no-matrix-free-polys']):
         assert main(['--n', '8', *argv]) == 1, argv
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
-                   SparseMatrix, apply_matrix_free, build_advection_1d,
-                   build_advection_2d, build_prolongation, build_restriction,
-                   cf_split, coarse_matrix, drop_and_lump, extract,
-                   hierarchy_summary, richardson_solve, setup, spgemm, spmv,
-                   try_truncate, vcycle, SolveConfig)
+                   SparseMatrix, apply_matrix_free, assemble_fixed_sparsity,
+                   build_advection_1d, build_advection_2d, build_prolongation,
+                   build_restriction, cf_split, coarse_matrix, drop_and_lump,
+                   extract, hierarchy_summary, richardson_solve, setup, spgemm,
+                   spmv, try_truncate, vcycle, SolveConfig)
 from airmg import hierarchy, sparse, splitting
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _level_cycle_flops, _resolve_truncate_start)
@@ -33,7 +33,7 @@ def test_restriction_is_ideal_for_diagonal_fine_block():
     A = build_advection_1d(32, 1.5)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=2, seed=0)
     cfg = SetupConfig(poly_order=2)
-    R, A_ff, A_fc, smoother, _ = build_restriction(A, split, cfg)
+    R, A_ff, A_fc, smoother = build_restriction(A, split, cfg)
     assert A_ff.nnz == A_ff.nrows  # diagonal
     A_cf = extract(A, split.c_set, split.f_set)
     Z = R.to_dense()[:, split.f_set]
@@ -56,7 +56,7 @@ def test_restriction_quality_bounded_and_polynomial_improves():
     prev = None
     for order in range(1, 7):
         cfg = SetupConfig(poly_order=order)
-        R, _, _, smoother, _ = build_restriction(A, split, cfg)
+        R, _, _, smoother = build_restriction(A, split, cfg)
         Z = R.to_dense()[:, split.f_set]
         rel = (np.linalg.norm(Z @ dense_ff + A_cf.to_dense())
                / np.linalg.norm(A_cf.to_dense()))
@@ -195,7 +195,7 @@ def test_coarse_matrix_matches_schur_complement():
     A = build_advection_1d(20, 1.0)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=1)
     cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
-    R, A_ff, A_fc, _, _ = build_restriction(A, split, cfg)
+    R, A_ff, A_fc, _ = build_restriction(A, split, cfg)
     P = build_prolongation(A_fc, split)
     got = coarse_matrix(A, R, P, cfg).to_dense()
     f, c = split.f_set, split.c_set
@@ -211,7 +211,7 @@ def test_coarse_matrix_zero_drop_keeps_everything():
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=2)
     base = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False)
     lumped = SetupConfig(poly_order=1, a_drop=0.0, a_lump=True)
-    R, _, A_fc, _, _ = build_restriction(A, split, base)
+    R, _, A_fc, _ = build_restriction(A, split, base)
     P = build_prolongation(A_fc, split)
     got_a = coarse_matrix(A, R, P, base).to_dense()
     got_b = coarse_matrix(A, R, P, lumped).to_dense()
@@ -443,28 +443,14 @@ def test_setup_keeps_one_index_width():
 
 def test_setup_storage_complexity_recomputable_from_summary():
     A, _ = build_advection_2d(AdvectionProblem(nx=24, ny=24, vx=0.9, vy=0.3))
-    for mf in (True, False):
-        H = setup(A, SetupConfig(matrix_free_polys=mf))
-        s = hierarchy_summary(H)
-        retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_R']
-                       + (l['nnz_smoother_assembled'] or 0)
-                       for l in s['levels'])
-        expected = (retained + s['nnz_top'] + s['coarsest']['nnz']) / s['nnz_top']
-        assert s['storage_complexity'] == expected
-        assert s['storage_complexity'] >= 1.0
-        assert s['cycle_complexity'] >= 1.0
-
-
-def test_setup_assembled_smoother_mode():
-    A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16,
-                                               vx=np.cos(np.pi / 4),
-                                               vy=np.sin(np.pi / 4)))
-    H = setup(A, SetupConfig(matrix_free_polys=False))
-    assert any(L.f_smoother_assembled is not None for L in H.levels)
-    from airmg import richardson_solve
-    x, stats = richardson_solve(H, np.zeros(A.nrows), np.ones(A.nrows),
-                                SolveConfig(max_iters=40))
-    assert stats.converged
+    H = setup(A, SetupConfig())
+    s = hierarchy_summary(H)
+    retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_R']
+                   for l in s['levels'])
+    expected = (retained + s['nnz_top'] + s['coarsest']['nnz']) / s['nnz_top']
+    assert s['storage_complexity'] == expected
+    assert s['storage_complexity'] >= 1.0
+    assert s['cycle_complexity'] >= 1.0
 
 
 def test_setup_grid_complexity_ordering_with_threshold():
@@ -602,8 +588,8 @@ def test_setup_products_match_structural_spgemm_bitwise(permute):
     for level in range(6):
         split, _ = cf_split(A, cfg.strong_threshold, cfg.ddc_fraction,
                             cfg.ddc_its, seed=level)
-        R, _, A_fc, _, assembled = build_restriction(A, split, cfg,
-                                                     level=level)
+        R, A_ff, A_fc, smoother = build_restriction(A, split, cfg,
+                                                    level=level)
         P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(A, R, P, cfg)
         assert_same_without_zeros(
@@ -611,7 +597,7 @@ def test_setup_products_match_structural_spgemm_bitwise(permute):
             drop_and_lump(structural_spgemm(R, structural_spgemm(A, P)),
                           cfg.a_drop, lump=cfg.a_lump))
         ref = structural_spgemm(extract(A, split.c_set, split.f_set),
-                                assembled)
+                                assemble_fixed_sparsity(smoother, A_ff))
         ref = drop_and_lump(
             SparseMatrix(ref.nrows, ref.ncols, ref.row_offsets,
                          ref.col_indices, -ref.values),

@@ -52,7 +52,8 @@ def test_2d_interior_stencil_values():
     v = 0.7071067811865476
     A, _ = build_advection_2d(AdvectionProblem(nx=4, ny=4, vx=v, vy=v))
     # unknown (i=2, j=2) is interior: south, west, diagonal in column order
-    cols, vals = A.row(2 * 4 + 2)
+    lo, hi = A.row_offsets[2 * 4 + 2], A.row_offsets[2 * 4 + 3]
+    cols, vals = A.col_indices[lo:hi], A.values[lo:hi]
     assert list(cols) == [2 * 4 + 2 - 4, 2 * 4 + 2 - 1, 2 * 4 + 2]
     assert vals[0] == -0.7071067811865476
     assert vals[1] == -0.7071067811865476
@@ -104,8 +105,8 @@ def test_2d_stencil_invariant_under_refinement():
     values = []
     for nx in (8, 16, 32):
         A, _ = build_advection_2d(AdvectionProblem(nx=nx, ny=nx, vx=vx, vy=vy))
-        cols, vals = A.row((nx + 1) * 2)  # an interior unknown
-        values.append(tuple(vals))
+        i = (nx + 1) * 2  # an interior unknown
+        values.append(tuple(A.values[A.row_offsets[i]:A.row_offsets[i + 1]]))
     assert values[0] == values[1] == values[2]
 
 

@@ -9,6 +9,7 @@ from airmg import (AdvectionProblem, DivergenceError, SetupConfig,
                    cf_split, coarse_matrix, count_cycle_flops, extract,
                    richardson_solve, setup, spmv, vcycle)
 from airmg import solve
+from airmg.polynomial import _poly_apply_flops
 from airmg.sparse import _norm
 
 
@@ -53,7 +54,7 @@ def test_two_level_ideal_restriction_zeroes_coarse_error():
     A_ff = extract(A, split.f_set, split.f_set)
     assert A_ff.nnz == A_ff.nrows
     cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
-    R, _, A_fc, _, _ = build_restriction(A, split, cfg)
+    R, _, A_fc, _ = build_restriction(A, split, cfg)
     P = build_prolongation(A_fc, split)
     A_coarse = coarse_matrix(A, R, P, cfg)
     rng = np.random.default_rng(51)
@@ -210,16 +211,22 @@ def test_neumann_coarse_solver_variant():
     assert stats.converged and stats.iterations <= 2
 
 
-def test_assembled_smoother_flop_branch():
+@pytest.mark.parametrize('smooth_type', ['f', 'ff'])
+def test_multilevel_flop_count_by_hand(smooth_type):
+    # Every per-level term of the cost model, summed by hand over a
+    # multi-level hierarchy; 'ff' adds the second smooth's residual product,
+    # combine, smoother application and error update.
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16, vx=vx, vy=vy))
-    H = setup(A, SetupConfig(matrix_free_polys=False, auto_truncate_tol=None))
+    H = setup(A, SetupConfig(auto_truncate_tol=None, smooth_type=smooth_type))
+    assert len(H.levels) >= 2
     total = 0
     for L in H.levels:
         n_f = len(L.split.f_set)
-        total += 2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f
-        total += 2 * L.f_smoother_assembled.nnz
-    from airmg.polynomial import _poly_apply_flops
+        smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
+        total += 2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f + smooth
+        if smooth_type == 'ff':
+            total += 2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
                                H.coarsest_A.nrows)
     assert count_cycle_flops(H) == total

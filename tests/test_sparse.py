@@ -243,7 +243,8 @@ def test_spgemm_retains_cancellation_zeros():
     B = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 0.0]])
     C = structural_spgemm(A, B)
     assert C.nnz == 2
-    cols, vals = C.row(0)
+    lo, hi = C.row_offsets[0], C.row_offsets[1]
+    cols, vals = C.col_indices[lo:hi], C.values[lo:hi]
     assert list(cols) == [0] and vals[0] == 0.0
 
 
@@ -412,7 +413,7 @@ def test_fixed_sparsity_diagonal_pattern():
     weights = np.array([3.0, 0.0, -2.0, 0.5, 7.0, 1e-3])
     marked = SparseMatrix.csr(6, 6, np.arange(7), np.arange(6), weights)
     got = spgemm_fixed_sparsity(A, B, marked)
-    assert list(got.row(1)[0]) == [1]
+    assert list(got.col_indices[got.row_offsets[1]:got.row_offsets[2]]) == [1]
     assert np.array_equal(got.to_dense(),
                           np.diag(np.diag(spgemm(A, B).to_dense())))
 
@@ -486,7 +487,8 @@ def test_drop_and_lump_single_row_example():
                                  [0.0, 1.0, 0.0],
                                  [0.0, 0.0, 1.0]])
     got = drop_and_lump(A, 1e-6, lump=True)
-    cols, vals = got.row(0)
+    lo, hi = got.row_offsets[0], got.row_offsets[1]
+    cols, vals = got.col_indices[lo:hi], got.values[lo:hi]
     assert list(cols) == [0, 2]
     assert vals[0] == 2.0 + 1e-8 and vals[1] == -1.0
     assert abs(got.to_dense()[0].sum() - A.to_dense()[0].sum()) < 1e-16
