@@ -25,8 +25,8 @@ from .polynomial import (PolySolver, gmres_poly_arnoldi, gmres_poly_newton,
                          neumann_poly, apply_matrix_free,
                          assemble_fixed_sparsity)
 from .hierarchy import (SetupConfig, Level, TruncationTest, Hierarchy,
-                        build_restriction, build_prolongation, coarse_matrix,
-                        try_truncate, setup, count_cycle_flops,
+                        build_restriction, restriction, build_prolongation,
+                        coarse_matrix, try_truncate, setup, count_cycle_flops,
                         hierarchy_summary)
 from .solve import (SolveConfig, SolveStats, DivergenceError, vcycle,
                     richardson_solve)
@@ -43,8 +43,9 @@ __all__ = [
     'PolySolver', 'gmres_poly_arnoldi', 'gmres_poly_newton', 'neumann_poly',
     'apply_matrix_free', 'assemble_fixed_sparsity',
     'SetupConfig', 'Level', 'TruncationTest', 'Hierarchy',
-    'build_restriction', 'build_prolongation', 'coarse_matrix',
-    'try_truncate', 'setup', 'count_cycle_flops', 'hierarchy_summary',
+    'build_restriction', 'restriction', 'build_prolongation',
+    'coarse_matrix', 'try_truncate', 'setup', 'count_cycle_flops',
+    'hierarchy_summary',
     'SolveConfig', 'SolveStats', 'DivergenceError', 'vcycle',
     'richardson_solve',
 ]

@@ -20,7 +20,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .hierarchy import (SetupConfig, build_prolongation, hierarchy_summary,
-                        setup)
+                        restriction, setup)
 from .polynomial import COEFF_KINDS, POLY_KINDS
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
@@ -29,7 +29,7 @@ from .splitting import CFSplit, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # Each config field is one flag, ``--field-name``; boolean fields get paired
 # --flag/--no-flag options, and an ``X | None`` field also takes the literal
@@ -135,7 +135,8 @@ def _dump_operators(H, directory):
     write_matrix_market(H.coarsest_A, os.path.join(directory,
                                                    'coarsest_A.mtx'))
     for idx, L in enumerate(H.levels):
-        ops = {'R': L.R, 'P': build_prolongation(L.A_fc, L.split),
+        ops = {'R': restriction(L.Z, L.split),
+               'P': build_prolongation(L.A_fc, L.split),
                'A_ff': L.A_ff, 'A_fc': L.A_fc}
         for name, op in ops.items():
             write_matrix_market(op, os.path.join(directory,

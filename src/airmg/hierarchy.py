@@ -8,9 +8,10 @@ The split comes back repaired for the one-point prolongator; each split
 block is extracted once, by ``build_restriction``, and ``P`` uses ``A_fc``.
 Once a high-order tentative coarse polynomial can solve the current level to
 a loose tolerance the hierarchy is truncated there.  After the coarse matrix
-is formed only ``A_ff``, ``A_fc`` and ``R`` are retained per level: the cycle
-smooths fine points only and never applies ``P``, which, like the level
-matrix, is an intermediate of the Galerkin product.
+is formed only ``A_ff``, ``A_fc`` and ``Z`` are retained per level: the cycle
+smooths fine points only, restricts with ``Z r_f + r_c`` and never applies
+``P``.  ``P``, the full ``R`` (``restriction(Z, split)``) and the level
+matrix are intermediates of the Galerkin product.
 """
 
 import logging
@@ -34,6 +35,7 @@ __all__ = [
     'TruncationTest',
     'Hierarchy',
     'build_restriction',
+    'restriction',
     'build_prolongation',
     'coarse_matrix',
     'try_truncate',
@@ -146,15 +148,16 @@ class SetupConfig:
 class Level:
     """Operators retained for the solve on one reduction level.
 
-    ``R`` is ``n_c x n`` acting on vectors in the level's fine ordering (its
-    C columns form an identity, its F columns hold ``Z``).  The one-point
-    prolongator is not kept: the cycle never applies it, and
+    ``Z`` is the ``n_c x n_f`` F-column block of the restriction
+    ``R = [Z I]``, with columns numbered in ``split.f_set`` order; the unit C
+    block stays implicit, and ``restriction(Z, split)`` rebuilds ``R``.  The
+    one-point prolongator is not kept: the cycle never applies it, and
     ``build_prolongation(A_fc, split)`` rebuilds it.  The cycle smooths with
     ``f_smoother`` applied matrix-free on ``A_ff``.  ``nnz_A`` records the
     size of the level matrix before it was discarded.
     """
 
-    R: SparseMatrix
+    Z: SparseMatrix
     A_ff: SparseMatrix
     A_fc: SparseMatrix
     f_smoother: PolySolver
@@ -164,6 +167,12 @@ class Level:
     ddc_stats: tuple = ()
     # Not a field: always None; its only reader is perfbench/layers.py.
     f_smoother_assembled = None
+
+    @property
+    def R(self):
+        # Not the restriction: ``Z`` itself, the matrix the cycle's
+        # restriction applies; its only reader is perfbench/layers.py.
+        return self.Z
 
 
 @dataclass(frozen=True)
@@ -226,14 +235,15 @@ def build_restriction(A, split, cfg, level=0, timings=None):
     """Approximate ideal restriction and the operators kept for smoothing.
 
     Extracts the split blocks, builds the fine-block polynomial (the
-    smoother, applied matrix-free), assembles it with the fixed sparsity of
-    ``A_ff`` as ``Ahat_ff^-1`` only to form ``Z = -A_cf * Ahat_ff^-1``, and
-    scatters ``[Z I]`` into the level's fine ordering.  Entries dropped from
-    the ``Z`` block by ``r_drop`` are discarded, not lumped.
+    smoother, applied matrix-free), and assembles it with the fixed sparsity
+    of ``A_ff`` as ``Ahat_ff^-1`` only to form ``Z = -A_cf * Ahat_ff^-1``.
+    Entries dropped from ``Z`` by ``r_drop`` are discarded, not lumped.
+    ``Z`` is ``n_c x n_f`` in ``split.f_set`` column order;
+    ``restriction(Z, split)`` scatters ``[Z I]`` into the level's ordering.
 
     Returns
     -------
-    (R, A_ff, A_fc, f_smoother) -- ``build_prolongation`` takes ``A_fc``.
+    (Z, A_ff, A_fc, f_smoother) -- ``build_prolongation`` takes ``A_fc``.
     """
     f, c = split.f_set, split.c_set
     with _Timer(timings, 'extract'):
@@ -249,17 +259,23 @@ def build_restriction(A, split, cfg, level=0, timings=None):
         Z = replace(Z, values=-Z.values)
     with _Timer(timings, 'drop'):
         Z = drop_and_lump(Z, cfg.r_drop, lump=False, keep_diagonal=False)
-    with _Timer(timings, 'spgemm_R'):
-        # Z stores no zeros and ``f`` is increasing, so its block is canonical
-        # in the level's ordering and the sum with the disjoint unit C block
-        # drops nothing.
-        n_c = len(c)
-        z_cols = f[Z.col_indices.astype(np.intp)].astype(_INDEX)
-        z_block = replace(Z, ncols=A.nrows, col_indices=z_cols)
-        c_block = SparseMatrix(n_c, A.nrows, np.arange(n_c + 1, dtype=_INDEX),
-                               c.astype(_INDEX), np.ones(n_c))
-        R = _add(z_block, c_block)
-    return R, A_ff, A_fc, smoother
+    return Z, A_ff, A_fc, smoother
+
+
+def restriction(Z, split):
+    """``R = [Z I]`` as an ``n_c x n`` matrix in the level's fine ordering:
+    ``Z``'s columns scattered to ``split.f_set``, plus a unit entry at each
+    C point's column."""
+    # Z stores no zeros and ``f_set`` is increasing, so its block is canonical
+    # in the level's ordering and the sum with the disjoint unit C block
+    # drops nothing.
+    f, c = split.f_set, split.c_set
+    n_c = len(c)
+    z_cols = f[Z.col_indices.astype(np.intp)].astype(_INDEX)
+    z_block = replace(Z, ncols=split.n, col_indices=z_cols)
+    c_block = SparseMatrix(n_c, split.n, np.arange(n_c + 1, dtype=_INDEX),
+                           c.astype(_INDEX), np.ones(n_c))
+    return _add(z_block, c_block)
 
 
 def build_prolongation(A_fc, split):
@@ -377,8 +393,9 @@ def setup(A, cfg):
     Per level: stop if the matrix is small enough (or the level budget is
     exhausted); otherwise test truncation when eligible, split, build the
     restriction/prolongation pair and the Galerkin coarse matrix, and
-    descend.  Prolongators and intermediate level matrices are released once
-    used; only the top and coarsest matrices are retained.
+    descend.  The full restrictions, prolongators and intermediate level
+    matrices are released once used; only the top and coarsest matrices are
+    retained.
     """
     cfg.validate()
     if A.nrows != A.ncols:
@@ -417,13 +434,16 @@ def setup(A, cfg):
             _log.info('level %d needs no further reduction; building the '
                       'coarse solver directly', level)
             break
-        R, A_ff, A_fc, smoother = build_restriction(
+        Z, A_ff, A_fc, smoother = build_restriction(
             current, split, cfg, level=level, timings=timings)
+        with _Timer(timings, 'spgemm_R'):
+            R = restriction(Z, split)
         with _Timer(timings, 'prolongator'):
             P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(current, R, P, cfg, timings=timings)
+        del R, P  # setup intermediates: not held through the next level
         levels.append(Level(
-            R=R, A_ff=A_ff, A_fc=A_fc, f_smoother=smoother, split=split,
+            Z=Z, A_ff=A_ff, A_fc=A_fc, f_smoother=smoother, split=split,
             n=current.nrows, nnz_A=current.nnz, ddc_stats=tuple(ddc_stats)))
         current = coarse
         level += 1
@@ -435,7 +455,7 @@ def setup(A, cfg):
                   f_smooths=len(cfg.smooth_type), truncated_at=truncated_at,
                   truncation_tests=tuple(truncation_tests),
                   setup_breakdown=timings)
-    retained = sum(L.A_ff.nnz + L.A_fc.nnz + L.R.nnz for L in H.levels)
+    retained = sum(L.A_ff.nnz + L.A_fc.nnz + L.Z.nnz for L in H.levels)
     H.storage_complexity = (retained + A.nnz + H.coarsest_A.nnz) / A.nnz
     H.flops_per_cycle = count_cycle_flops(H)
     H.cycle_complexity = H.flops_per_cycle / (2.0 * A.nnz)
@@ -450,12 +470,12 @@ def count_cycle_flops(H):
     Cost model: an SpMV with ``nnz`` stored entries costs ``2*nnz``; a vector
     scale/axpy/elementwise update producing ``n`` entries costs ``2*n``;
     copies, scatters and gathers are free.  Per level this covers the
-    restriction SpMV, the cached ``A_fc e_c`` product, the ``H.f_smooths``
-    fine-point smooths (one per letter of ``smooth_type``; the first exploits
-    the zero initial error), the free merge, and at the bottom one coarse
-    polynomial application:
+    restriction (an SpMV with ``Z`` plus the C-point residual), the cached
+    ``A_fc e_c`` product, the ``H.f_smooths`` fine-point smooths (one per
+    letter of ``smooth_type``; the first exploits the zero initial error),
+    the free merge, and at the bottom one coarse polynomial application:
 
-    * restriction: ``2*nnz(R)``
+    * restriction: ``2*nnz(Z) + n_c``
     * coarse-coupling cache: ``2*nnz(A_fc)``
     * first smooth: ``2*n_f`` (residual combine) + one smoother application
     * each of the ``H.f_smooths - 1`` further smooths: ``2*nnz(A_ff) +
@@ -476,7 +496,7 @@ def _level_cycle_flops(L, f_smooths):
     """FLOPs that level ``L`` adds to one V-cycle (``count_cycle_flops``)."""
     n_f = len(L.split.f_set)
     smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
-    return (2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f + smooth
+    return (2 * L.Z.nnz + L.split.n_c + 2 * L.A_fc.nnz + 2 * n_f + smooth
             + (f_smooths - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f))
 
 
@@ -494,7 +514,7 @@ def hierarchy_summary(H):
             'nnz_A': int(L.nnz_A),
             'nnz_A_ff': int(L.A_ff.nnz),
             'nnz_A_fc': int(L.A_fc.nnz),
-            'nnz_R': int(L.R.nnz),
+            'nnz_Z': int(L.Z.nnz),
             'smoother_kind': L.f_smoother.kind,
             'smoother_order': int(L.f_smoother.order),
             'smoother_effective_order': int(L.f_smoother.effective_order),

@@ -487,12 +487,19 @@ def assemble_fixed_sparsity(p, A):
                          f'coefficient kinds {COEFF_KINDS} only, not {p.kind}')
     if A.nrows != A.ncols:
         raise ValueError('require a square matrix')
+    # Only powers past the first read the pattern, and a degree-0 sum
+    # (``coeffs[0] * I``) reads nothing of its base but the size; neither is
+    # built where it is not read.
     eye = SparseMatrix.identity(A.nrows)
-    pattern = _add(eye, replace(A, values=np.ones(A.nnz)))
+    degree = len(p.coeffs) - 1
+    pattern = (_add(eye, replace(A, values=np.ones(A.nnz))) if degree > 1
+               else None)
     if p.kind == 'arnoldi':
         return _masked_power_sum(p.coeffs, A, pattern)
     # Series in N = I - D^-1 A, right-scaled by D^-1 at the end.
-    base = _add(eye, replace(
-        A, values=-p.diag_scale[_row_index(A)] * A.values))
+    base = A
+    if degree > 0:
+        base = _add(eye, replace(
+            A, values=-p.diag_scale[_row_index(A)] * A.values))
     out = _masked_power_sum(p.coeffs, base, pattern)
     return replace(out, values=out.values * p.diag_scale[out.col_indices])

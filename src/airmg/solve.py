@@ -1,6 +1,7 @@
 """V-cycle application and the Richardson outer iteration.
 
-The cycle restricts the residual, solves the coarse problem recursively, and
+The cycle restricts the residual with ``Z r_f + r_c`` (``R = [Z I]``, whose
+identity block is never stored), solves the coarse problem recursively, and
 then smooths only the fine points on the way back up: with the error update
 
     e_f <- e_f + q(A_ff) (r_f - A_fc e_c - A_ff e_f)
@@ -86,13 +87,21 @@ class DivergenceError(RuntimeError):
 
 
 def vcycle(H, level, r):
-    """Error estimate for ``A_level e = r`` from one V-cycle recursion."""
+    """Error estimate for ``A_level e = r`` from one V-cycle recursion.
+
+    The restriction applies ``R = [Z I]`` as ``Z r_f + r_c`` on the gathered
+    F and C parts of ``r``.  Adding ``r_c`` last reproduces ``spmv(R, r)``
+    bit for bit when each C row's ``Z`` columns precede that C point in the
+    level's ordering, as in the lower-triangular natural orders; otherwise
+    the sums differ in rounding only.
+    """
     if level == len(H.levels):
         return apply_matrix_free(H.coarse_solver, H.coarsest_A, r)
     L = H.levels[level]
-    r_coarse = spmv(L.R, r)
-    e_c = vcycle(H, level + 1, r_coarse)
     r_f = r[L.split.f_set]
+    r_coarse = spmv(L.Z, r_f)
+    r_coarse += r[L.split.c_set]
+    e_c = vcycle(H, level + 1, r_coarse)
     t = spmv(L.A_fc, e_c)
     e_f = apply_matrix_free(L.f_smoother, L.A_ff, r_f - t)
     for _ in range(H.f_smooths - 1):

@@ -236,6 +236,8 @@ def cf_split(A, theta, ddc_fraction, ddc_its, seed):
     """Full splitting: independent-set selection, ``ddc_its`` dominance
     cleanup passes and the repair, all reading one view of ``A``.  Returns
     ``(split, stats)``, with the ``DDCPassStats`` of each pass in ``stats``.
+    Passes after one that converts nothing are not run: they would repeat
+    it, so its stats stand for them.
 
     The split is ready for the one-point prolongator: every F row stores an
     entry in a C column, so a diagonal matrix comes back all C.  Raises
@@ -247,6 +249,8 @@ def cf_split(A, theta, ddc_fraction, ddc_its, seed):
     while split.n_f and len(stats) < ddc_its:
         split, pass_stats = ddc_pass(A, split, ddc_fraction, view)
         stats.append(pass_stats)
+        if pass_stats.converted == 0:
+            stats += [pass_stats] * (ddc_its - len(stats))
     if split.n_f == 0:
         raise ValueError(f'splitting produced no F points ({A.nrows} rows)')
     return _repair_split(A, split, view), stats

@@ -65,7 +65,7 @@ def _poly_arrays(p):
 def hierarchy_digest(A, b):
     """Setup of ``A`` and two solves, as a sha256 digest and plain numbers.
 
-    The digest covers every level's ``R``/``A_ff``/``A_fc`` and split labels,
+    The digest covers every level's ``Z``/``A_ff``/``A_fc`` and split labels,
     the smoother coefficients, the coarsest matrix and the coarse solver, the
     truncation record, the three complexities, ``flops_per_cycle``, and the
     residual history and solution of two solves: ``b`` from ``x0 = 1``
@@ -74,7 +74,7 @@ def hierarchy_digest(A, b):
     H = setup(A, SetupConfig())
     arrays = []
     for L in H.levels:
-        for M in (L.R, L.A_ff, L.A_fc):
+        for M in (L.Z, L.A_ff, L.A_fc):
             arrays += _matrix_arrays(M)
         arrays.append(L.split.labels)
         arrays += _poly_arrays(L.f_smoother)

@@ -18,8 +18,8 @@ from airmg import (AdvectionProblem, SetupConfig, SolveConfig, SparseMatrix,
                    build_prolongation, build_restriction, cf_split,
                    coarse_matrix, count_cycle_flops, ddc_pass, drop_and_lump,
                    extract, gmres_poly_arnoldi, gmres_poly_newton,
-                   hierarchy_summary, richardson_solve, setup, spmv,
-                   F_POINT, C_POINT, CFSplit)
+                   hierarchy_summary, restriction, richardson_solve, setup,
+                   spmv, F_POINT, C_POINT, CFSplit)
 from airmg.polynomial import _random_unit_vector
 from airmg.splitting import _dominance_ratios
 
@@ -166,7 +166,8 @@ def test_criterion_04_ideal_restriction_property():
         A_ff = extract(A, split.f_set, split.f_set)
         assert A_ff.nnz == A_ff.nrows  # diagonal fine block
         cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
-        R, _, A_fc, _ = build_restriction(A, split, cfg)
+        Z, _, A_fc, _ = build_restriction(A, split, cfg)
+        R = restriction(Z, split)
         P = build_prolongation(A_fc, split)
         A_coarse = coarse_matrix(A, R, P, cfg)
         rng = np.random.default_rng(4)

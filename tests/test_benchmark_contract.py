@@ -50,3 +50,5 @@ def test_traced_measurement_runs(key):
     assert metrics['sparse.spgemm.calls'] == 3 * metrics['hierarchy.levels']
     assert metrics['sparse.spgemm.out_nnz'] > 0
     assert metrics['sparse.spgemm.flops'] > 0
+    # The cycle's products with Z are classified as the restriction.
+    assert metrics['solve.restrict.s'] > 0

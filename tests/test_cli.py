@@ -45,7 +45,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 10
+    assert res['schema_version'] == 11
     assert not any('nnz_smoother_assembled' in level
                    for level in res['summary']['levels'])
     assert res['solve']['residual_history'][0] > 0

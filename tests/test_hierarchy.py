@@ -10,14 +10,16 @@ from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
                    SparseMatrix, apply_matrix_free, assemble_fixed_sparsity,
                    build_advection_1d, build_advection_2d, build_prolongation,
                    build_restriction, cf_split, coarse_matrix, drop_and_lump,
-                   extract, hierarchy_summary, richardson_solve, setup, spgemm,
-                   spmv, try_truncate, vcycle, SolveConfig)
+                   extract, hierarchy_summary, read_matrix_market,
+                   restriction, richardson_solve, setup, spgemm, spmv,
+                   try_truncate, vcycle, SolveConfig)
 from airmg import hierarchy, sparse, splitting
+from airmg.cli import _dump_operators
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _level_cycle_flops, _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
 from airmg.splitting import _level_view, _repair_split
-from golden import permuted
+from golden import CASES, permuted
 from structural_spgemm import assert_same_without_zeros, structural_spgemm
 
 
@@ -33,15 +35,15 @@ def test_restriction_is_ideal_for_diagonal_fine_block():
     A = build_advection_1d(32, 1.5)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=2, seed=0)
     cfg = SetupConfig(poly_order=2)
-    R, A_ff, A_fc, smoother = build_restriction(A, split, cfg)
+    Z, A_ff, A_fc, smoother = build_restriction(A, split, cfg)
     assert A_ff.nnz == A_ff.nrows  # diagonal
     A_cf = extract(A, split.c_set, split.f_set)
-    Z = R.to_dense()[:, split.f_set]
     ideal = -A_cf.to_dense() @ np.linalg.inv(A_ff.to_dense())
-    assert np.max(np.abs(Z - ideal)) <= 1e-13
-    # C block of R is the identity
-    assert np.array_equal(R.to_dense()[:, split.c_set],
-                          np.eye(split.n_c))
+    assert np.max(np.abs(Z.to_dense() - ideal)) <= 1e-13
+    # R = [Z I]: Z in the F columns, the identity in the C columns
+    R = restriction(Z, split).to_dense()
+    assert np.array_equal(R[:, split.f_set], Z.to_dense())
+    assert np.array_equal(R[:, split.c_set], np.eye(split.n_c))
 
 
 def test_restriction_quality_bounded_and_polynomial_improves():
@@ -56,9 +58,8 @@ def test_restriction_quality_bounded_and_polynomial_improves():
     prev = None
     for order in range(1, 7):
         cfg = SetupConfig(poly_order=order)
-        R, _, _, smoother = build_restriction(A, split, cfg)
-        Z = R.to_dense()[:, split.f_set]
-        rel = (np.linalg.norm(Z @ dense_ff + A_cf.to_dense())
+        Z, _, _, smoother = build_restriction(A, split, cfg)
+        rel = (np.linalg.norm(Z.to_dense() @ dense_ff + A_cf.to_dense())
                / np.linalg.norm(A_cf.to_dense()))
         assert rel < 1.0
         # the matrix-free polynomial itself converges to the dense inverse
@@ -75,13 +76,13 @@ def test_restriction_r_drop_discards_small_entries():
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=3)
     loose = SetupConfig(poly_order=1, r_drop=0.9)
     tight = SetupConfig(poly_order=1, r_drop=0.0)
-    R_loose = build_restriction(A, split, loose)[0]
-    R_tight = build_restriction(A, split, tight)[0]
-    assert R_loose.nnz <= R_tight.nnz
+    Z_loose = build_restriction(A, split, loose)[0]
+    Z_tight = build_restriction(A, split, tight)[0]
+    assert Z_loose.nnz <= Z_tight.nnz
     # row sums changed (discarded, not lumped) unless nothing was dropped
-    if R_loose.nnz < R_tight.nnz:
-        assert not np.allclose(R_loose.to_dense().sum(axis=1),
-                               R_tight.to_dense().sum(axis=1))
+    if Z_loose.nnz < Z_tight.nnz:
+        assert not np.allclose(Z_loose.to_dense().sum(axis=1),
+                               Z_tight.to_dense().sum(axis=1))
 
 
 def test_restriction_r_drop_never_touches_the_identity_block():
@@ -94,7 +95,7 @@ def test_restriction_r_drop_never_touches_the_identity_block():
     r_drop = 0.99
     H = setup(A, SetupConfig(r_drop=r_drop, auto_truncate_tol=None))
     for L in H.levels:
-        R = L.R.to_dense()
+        R = restriction(L.Z, L.split).to_dense()
         assert np.array_equal(R[:, L.split.c_set], np.eye(L.split.n_c))
         Z = np.abs(R[:, L.split.f_set])
         rowmax = Z.max(axis=1, keepdims=True)
@@ -195,9 +196,9 @@ def test_coarse_matrix_matches_schur_complement():
     A = build_advection_1d(20, 1.0)
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=1)
     cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
-    R, A_ff, A_fc, _ = build_restriction(A, split, cfg)
+    Z, A_ff, A_fc, _ = build_restriction(A, split, cfg)
     P = build_prolongation(A_fc, split)
-    got = coarse_matrix(A, R, P, cfg).to_dense()
+    got = coarse_matrix(A, restriction(Z, split), P, cfg).to_dense()
     f, c = split.f_set, split.c_set
     dense = A.to_dense()
     schur = (dense[np.ix_(c, c)]
@@ -211,7 +212,8 @@ def test_coarse_matrix_zero_drop_keeps_everything():
     split, _ = cf_split(A, theta=0.5, ddc_fraction=0.01, ddc_its=1, seed=2)
     base = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False)
     lumped = SetupConfig(poly_order=1, a_drop=0.0, a_lump=True)
-    R, _, A_fc, _ = build_restriction(A, split, base)
+    Z, _, A_fc, _ = build_restriction(A, split, base)
+    R = restriction(Z, split)
     P = build_prolongation(A_fc, split)
     got_a = coarse_matrix(A, R, P, base).to_dense()
     got_b = coarse_matrix(A, R, P, lumped).to_dense()
@@ -394,7 +396,7 @@ def test_default_drops_leave_the_1d_chain_alone():
     assert len(H_def.levels) == len(H_off.levels)
     for got, want in zip(H_def.levels, H_off.levels):
         assert np.array_equal(got.split.labels, want.split.labels)
-        for name in ('R', 'A_ff', 'A_fc'):
+        for name in ('Z', 'A_ff', 'A_fc'):
             _assert_same_bits(getattr(got, name), getattr(want, name))
     _assert_same_bits(H_def.coarsest_A, H_off.coarsest_A)
 
@@ -432,7 +434,8 @@ def test_setup_keeps_one_index_width():
     H = setup(A, SetupConfig())
     assert H.levels
     mats = [H.top_A, H.coarsest_A]
-    mats += [M for L in H.levels for M in (L.R, L.A_ff, L.A_fc)]
+    mats += [M for L in H.levels
+             for M in (L.Z, restriction(L.Z, L.split), L.A_ff, L.A_fc)]
     for M in mats:
         assert M.row_offsets.dtype == np.int32
         assert M.col_indices.dtype == np.int32
@@ -445,7 +448,7 @@ def test_setup_storage_complexity_recomputable_from_summary():
     A, _ = build_advection_2d(AdvectionProblem(nx=24, ny=24, vx=0.9, vy=0.3))
     H = setup(A, SetupConfig())
     s = hierarchy_summary(H)
-    retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_R']
+    retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_Z']
                    for l in s['levels'])
     expected = (retained + s['nnz_top'] + s['coarsest']['nnz']) / s['nnz_top']
     assert s['storage_complexity'] == expected
@@ -543,7 +546,8 @@ def test_setup_operators_stay_canonical():
     validate(H.top_A)
     validate(H.coarsest_A)
     for L in H.levels:
-        for op in (L.R, build_prolongation(L.A_fc, L.split), L.A_ff, L.A_fc):
+        for op in (L.Z, restriction(L.Z, L.split),
+                   build_prolongation(L.A_fc, L.split), L.A_ff, L.A_fc):
             validate(op)
 
 
@@ -560,8 +564,8 @@ def test_hierarchy_level_chain_consistent():
     H = setup(A, SetupConfig(auto_truncate_tol=None))
     for upper, lower in zip(H.levels, H.levels[1:]):
         assert lower.n == upper.split.n_c
-        assert upper.R.nrows == upper.split.n_c
-        assert upper.R.ncols == upper.n
+        assert upper.Z.nrows == upper.split.n_c
+        assert upper.Z.ncols == upper.split.n_f
         assert upper.A_fc.ncols == upper.split.n_c
     assert H.coarsest_A.nrows == H.levels[-1].split.n_c
 
@@ -588,8 +592,9 @@ def test_setup_products_match_structural_spgemm_bitwise(permute):
     for level in range(6):
         split, _ = cf_split(A, cfg.strong_threshold, cfg.ddc_fraction,
                             cfg.ddc_its, seed=level)
-        R, A_ff, A_fc, smoother = build_restriction(A, split, cfg,
+        Z, A_ff, A_fc, smoother = build_restriction(A, split, cfg,
                                                     level=level)
+        R = restriction(Z, split)
         P = build_prolongation(A_fc, split)
         coarse = coarse_matrix(A, R, P, cfg)
         assert_same_without_zeros(
@@ -602,8 +607,7 @@ def test_setup_products_match_structural_spgemm_bitwise(permute):
             SparseMatrix(ref.nrows, ref.ncols, ref.row_offsets,
                          ref.col_indices, -ref.values),
             cfg.r_drop, lump=False, keep_diagonal=False)
-        assert_same_without_zeros(
-            extract(R, np.arange(split.n_c), split.f_set), ref)
+        assert_same_without_zeros(Z, ref)
         A = coarse
 
 
@@ -628,6 +632,30 @@ def test_setup_forms_three_products_per_level(monkeypatch):
     H = setup(A, SetupConfig())
     assert H.num_levels > 0
     assert len(calls) == 3 * H.num_levels
+
+
+@pytest.mark.parametrize('case', ['pi4_64', 'pi4_perm_48'])
+def test_kept_z_reproduces_the_restriction_setup_used(case, monkeypatch,
+                                                     tmp_path):
+    # Levels keep Z, the F-column block of the R = [Z I] that the Galerkin
+    # product read; ``restriction`` rebuilds that R array for array, and
+    # ``--dump-operators`` writes it.
+    used = []
+    galerkin = hierarchy.coarse_matrix
+
+    def recording(A, R, P, cfg, **kwargs):
+        used.append(R)
+        return galerkin(A, R, P, cfg, **kwargs)
+
+    monkeypatch.setattr(hierarchy, 'coarse_matrix', recording)
+    H = setup(CASES[case]()[0], SetupConfig())
+    assert len(used) == H.num_levels > 0
+    _dump_operators(H, tmp_path)
+    for k, (L, R) in enumerate(zip(H.levels, used)):
+        _assert_same_bits(restriction(L.Z, L.split), R)
+        _assert_same_bits(L.Z, extract(R, np.arange(L.split.n_c),
+                                       L.split.f_set))
+        _assert_same_bits(read_matrix_market(tmp_path / f'level{k}_R.mtx'), R)
 
 
 def test_setup_extracts_three_blocks_per_level(monkeypatch):

@@ -355,21 +355,22 @@ def test_assemble_tridiagonal_masked_oracle():
     dense = (np.diag(np.full(n, 3.0)) + np.diag(np.full(n - 1, -1.0), -1)
              + np.diag(np.full(n - 1, 0.5), 1))
     A = SparseMatrix.from_dense(dense)
-    p = gmres_poly_arnoldi(A, order=3, seed=1)
-    got = assemble_fixed_sparsity(p, A).to_dense()
     # dense masked-power oracle: every power is confined to the pattern of A
     # plus the diagonal before multiplying again
     pattern = (dense != 0) | np.eye(n, dtype=bool)
-    expected = np.zeros((n, n))
-    power = np.eye(n)
-    for k, c in enumerate(p.coeffs):
-        expected += c * power
-        power = power @ dense
-        power[~pattern] = 0.0
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-    got_pattern = assemble_fixed_sparsity(p, A)
-    inside = pattern[_row_index(got_pattern), got_pattern.col_indices]
-    assert np.all(inside)
+    for order in (0, 3):
+        p = gmres_poly_arnoldi(A, order=order, seed=1)
+        assert len(p.coeffs) == order + 1
+        got = assemble_fixed_sparsity(p, A)
+        expected = np.zeros((n, n))
+        power = np.eye(n)
+        for c in p.coeffs:
+            expected += c * power
+            power = power @ dense
+            power[~pattern] = 0.0
+        assert (np.max(np.abs(got.to_dense() - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
+        assert np.all(pattern[_row_index(got), got.col_indices])
 
 
 def test_assemble_neumann_masked_oracle():
@@ -377,20 +378,21 @@ def test_assemble_neumann_masked_oracle():
     rng = np.random.default_rng(39)
     A = random_dd_matrix(rng, n, density=0.25)
     dense = A.to_dense()
-    order = 4
-    p = neumann_poly(A, order=order)
-    got = assemble_fixed_sparsity(p, A).to_dense()
     pattern = (dense != 0) | np.eye(n, dtype=bool)
     dinv = 1.0 / np.diag(dense)
     N = np.eye(n) - dinv[:, None] * dense
-    expected = np.zeros((n, n))
-    power = np.eye(n)
-    for k in range(order + 1):
-        expected += power
-        power = power @ N
-        power[~pattern] = 0.0
-    expected = expected * dinv[None, :]
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for order in (0, 4):
+        p = neumann_poly(A, order=order)
+        got = assemble_fixed_sparsity(p, A).to_dense()
+        expected = np.zeros((n, n))
+        power = np.eye(n)
+        for _ in range(order + 1):
+            expected += power
+            power = power @ N
+            power[~pattern] = 0.0
+        expected = expected * dinv[None, :]
+        assert (np.max(np.abs(got - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
 
 
 def scipy_loop_assembly(p, A):
@@ -433,21 +435,31 @@ def scipy_loop_assembly(p, A):
 def test_assemble_bitwise_equals_scipy_loop_and_traces_each_power(
         monkeypatch):
     # Every masked power goes through ``spgemm_fixed_sparsity`` by its name
-    # in ``sparse``, so a tracer that rebinds the name sees each one.
-    calls = []
+    # in ``sparse``, so a tracer that rebinds the name sees each one.  The
+    # pattern is built only for a second power and the Neumann base only
+    # past degree 0 (each is one ``_add`` in ``polynomial``).
+    calls, adds = [], []
 
     def counting(*args):
         calls.append(args)
         return spgemm_fixed_sparsity(*args)
 
+    def counting_add(*args):
+        adds.append(args)
+        return sparse._add(*args)
+
     A = random_dd_matrix(np.random.default_rng(40), 30, density=0.2)
     monkeypatch.setattr(sparse, 'spgemm_fixed_sparsity', counting)
+    monkeypatch.setattr(polynomial, '_add', counting_add)
     for p in (gmres_poly_arnoldi(A, 0, seed=1), gmres_poly_arnoldi(A, 1, seed=1),
               gmres_poly_arnoldi(A, 6, seed=1), neumann_poly(A, 0),
               neumann_poly(A, 5)):
         calls.clear()
+        adds.clear()
         got = assemble_fixed_sparsity(p, A)
-        assert len(calls) == max(len(p.coeffs) - 2, 0)
+        degree = len(p.coeffs) - 1
+        assert len(calls) == max(degree - 1, 0)
+        assert len(adds) == (degree > 1) + (p.kind == 'neumann' and degree > 0)
         want = scipy_loop_assembly(p, A)
         assert np.array_equal(got.row_offsets, want.row_offsets)
         assert np.array_equal(got.col_indices, want.col_indices)

@@ -7,10 +7,12 @@ from airmg import (AdvectionProblem, DivergenceError, SetupConfig,
                    SolveConfig, SparseMatrix, build_advection_1d,
                    build_advection_2d, build_prolongation, build_restriction,
                    cf_split, coarse_matrix, count_cycle_flops, extract,
-                   richardson_solve, setup, spmv, vcycle)
+                   restriction, richardson_solve, setup, spmv, vcycle)
 from airmg import solve
 from airmg.polynomial import _poly_apply_flops
 from airmg.sparse import _norm
+from explicit_r_vcycle import explicit_r_vcycle
+from golden import CASES
 
 
 def forward_substitution(A, b):
@@ -54,7 +56,8 @@ def test_two_level_ideal_restriction_zeroes_coarse_error():
     A_ff = extract(A, split.f_set, split.f_set)
     assert A_ff.nnz == A_ff.nrows
     cfg = SetupConfig(poly_order=1, a_drop=0.0, a_lump=False, r_drop=0.0)
-    R, _, A_fc, _ = build_restriction(A, split, cfg)
+    Z, _, A_fc, _ = build_restriction(A, split, cfg)
+    R = restriction(Z, split)
     P = build_prolongation(A_fc, split)
     A_coarse = coarse_matrix(A, R, P, cfg)
     rng = np.random.default_rng(51)
@@ -224,7 +227,7 @@ def test_multilevel_flop_count_by_hand(smooth_type):
     for L in H.levels:
         n_f = len(L.split.f_set)
         smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
-        total += 2 * L.R.nnz + 2 * L.A_fc.nnz + 2 * n_f + smooth
+        total += 2 * L.Z.nnz + L.split.n_c + 2 * L.A_fc.nnz + 2 * n_f + smooth
         if smooth_type == 'ff':
             total += 2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
@@ -281,6 +284,34 @@ def test_solve_bitwise_deterministic():
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
     assert np.array_equal(runs[0][2], runs[1][2])
+
+
+@pytest.mark.parametrize('case', ['pi4_64', 'chain_16384', 'pi4_perm_48'])
+def test_vcycle_matches_the_explicit_restriction_cycle(case, monkeypatch):
+    # The natural orders put each C row's Z columns before its C point, so
+    # ``Z r_f + r_c`` sums as ``R r`` does and the solves agree bit for bit;
+    # under a permutation only the rounding of those sums may differ.
+    A, b = CASES[case]()
+    H = setup(A, SetupConfig())
+    rand = np.random.default_rng(1).standard_normal(A.nrows)
+    solves = ((b, np.ones(A.nrows)), (rand, np.zeros(A.nrows)))
+    runs = []
+    for cycle in (solve.vcycle, explicit_r_vcycle):
+        monkeypatch.setattr(solve, 'vcycle', cycle)
+        runs.append([richardson_solve(H, rhs, x0, SolveConfig())
+                     for rhs, x0 in solves])
+    for (x, stats), (want_x, want), (rhs, _) in zip(*runs, solves):
+        assert stats.converged
+        if case != 'pi4_perm_48':
+            assert stats.residual_history == want.residual_history
+            assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
+            continue
+        assert stats.iterations == want.iterations
+        # The generator's ``b`` is zero; its solve is relative to ``r_0``.
+        scale = float(_norm(rhs)) or want.residual_history[0]
+        assert np.max(np.abs(np.subtract(stats.residual_history,
+                                         want.residual_history))) <= (
+            1e-14 * scale)
 
 
 def test_zero_initial_guess_skips_the_first_product(monkeypatch):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from airmg import (AdvectionProblem, C_POINT, CFSplit, F_POINT, SparseMatrix,
-                   build_advection_1d, build_advection_2d, build_prolongation,
-                   cf_split, ddc_pass, extract, pmisr, strength_graph)
-from airmg import splitting
+from airmg import (AdvectionProblem, C_POINT, CFSplit, F_POINT, SetupConfig,
+                   SparseMatrix, build_advection_1d, build_advection_2d,
+                   build_prolongation, cf_split, ddc_pass, extract, pmisr,
+                   setup, strength_graph)
+from airmg import hierarchy, splitting
 from airmg.hierarchy import _SEED_SPLIT, _derive_seed
 from airmg.sparse import _row_index
-from airmg.splitting import _dominance_ratios, _level_view
+from airmg.splitting import _dominance_ratios, _level_view, _repair_split
 from golden import permuted
 
 
@@ -407,6 +408,41 @@ def test_cf_split_diagonal_matrix():
                             seed=0)
     assert np.all(split.labels == C_POINT)
     assert all(s.converted == 0 for s in stats)
+
+
+def test_cf_split_stops_cleanup_after_a_pass_that_converts_nothing(
+        monkeypatch):
+    # Every level of the 1-D chain converts nothing in its first pass, so
+    # the later passes are not run: one ratio computation per level, and the
+    # labels and stats of running every pass.
+    ratio_calls, levels = [], []
+    ratios, split_level = splitting._dominance_ratios, splitting.cf_split
+
+    def counting_ratios(*args):
+        ratio_calls.append(args)
+        return ratios(*args)
+
+    def recording_split(A, *args):
+        levels.append((A, args, split_level(A, *args)))
+        return levels[-1][2]
+
+    monkeypatch.setattr(splitting, '_dominance_ratios', counting_ratios)
+    monkeypatch.setattr(hierarchy, 'cf_split', recording_split)
+    H = setup(build_advection_1d(2 ** 14, 1.0), SetupConfig(ddc_its=3))
+    monkeypatch.undo()
+    assert len(levels) == len(H.levels) > 1
+    assert len(ratio_calls) == len(levels)
+    for A, (theta, fraction, its, seed), (split, stats) in levels:
+        view = _level_view(A)
+        want = pmisr(strength_graph(A, theta, view), seed)
+        want_stats = []
+        for _ in range(its):
+            want, pass_stats = ddc_pass(A, want, fraction, view)
+            want_stats.append(pass_stats)
+        want = _repair_split(A, want, view)
+        assert np.array_equal(split.labels, want.labels)
+        assert stats == want_stats
+        assert len(stats) == 3 and stats[0].converted == 0
 
 
 def check_every_f_row_couples_to_c(A, split):
