@@ -1,10 +1,12 @@
 """Digests of whole setups and solves, and the golden file that holds them.
 
 ``hierarchy_digest`` hashes everything a setup decides and every bit a solve
-returns.  ``tests/golden.json`` holds the digest of each case in ``CASES``
-with the plain numbers behind it (level sizes, iterations) and the numpy and
-scipy versions it was made with.  Regenerate it after a change that is meant
-to move bits, and say which cases moved and why::
+returns, one sha256 per part (``PARTS``), so a change that moves bits names
+the parts it moved.  ``tests/golden.json`` holds the part digests of each
+case in ``CASES`` with the plain numbers behind them (level sizes,
+iterations) and the numpy and scipy versions they were made with.
+Regenerate it after a change that is meant to move bits, and say which parts
+of which cases moved and why::
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -62,42 +64,56 @@ def _poly_arrays(p):
             if a is not None]
 
 
-def hierarchy_digest(A, b):
-    """Setup of ``A`` and two solves, as a sha256 digest and plain numbers.
+# The parts of a digest, in the order ``hierarchy_digest`` hashes them.
+PARTS = ('operators', 'splits', 'smoothers', 'coarse', 'truncation',
+         'complexities', 'gen.history', 'gen.solution', 'rand.history',
+         'rand.solution')
 
-    The digest covers every level's ``Z``/``A_ff``/``A_fc`` and split labels,
-    the smoother coefficients, the coarsest matrix and the coarse solver, the
-    truncation record, the three complexities, ``flops_per_cycle``, and the
-    residual history and solution of two solves: ``b`` from ``x0 = 1``
-    ("gen") and a standard-normal rhs from ``x0 = 0`` ("rand").
+
+def _sha256(arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def hierarchy_digest(A, b):
+    """Setup of ``A`` and two solves, as one sha256 per part and plain
+    numbers.
+
+    The parts (``PARTS``) are every level's ``Z``/``A_ff``/``A_fc``; the
+    split labels; the smoother coefficients; the coarsest matrix and the
+    coarse solver; the truncation record; the three complexities with
+    ``flops_per_cycle``; and the residual history and the solution of two
+    solves: ``b`` from ``x0 = 1`` ("gen") and a standard-normal rhs from
+    ``x0 = 0`` ("rand").
     """
     H = setup(A, SetupConfig())
-    arrays = []
-    for L in H.levels:
-        for M in (L.Z, L.A_ff, L.A_fc):
-            arrays += _matrix_arrays(M)
-        arrays.append(L.split.labels)
-        arrays += _poly_arrays(L.f_smoother)
-    arrays += _matrix_arrays(H.coarsest_A) + _poly_arrays(H.coarse_solver)
-    record = [[t.level, t.n, t.effective_order, t.residual, t.accepted]
-              for t in H.truncation_tests]
-    arrays.append(np.frombuffer(repr(record).encode(), dtype=np.uint8))
-    arrays.append(np.array([H.cycle_complexity, H.storage_complexity,
-                            H.grid_complexity]))
-    arrays.append(np.array([H.flops_per_cycle], dtype=np.int64))
+    parts = {
+        'operators': [a for L in H.levels for M in (L.Z, L.A_ff, L.A_fc)
+                      for a in _matrix_arrays(M)],
+        'splits': [L.split.labels for L in H.levels],
+        'smoothers': [a for L in H.levels for a in _poly_arrays(L.f_smoother)],
+        'coarse': _matrix_arrays(H.coarsest_A) + _poly_arrays(H.coarse_solver),
+        'truncation': [np.frombuffer(repr([
+            [t.level, t.n, t.effective_order, t.residual, t.accepted]
+            for t in H.truncation_tests]).encode(), dtype=np.uint8)],
+        'complexities': [np.array([H.cycle_complexity, H.storage_complexity,
+                                   H.grid_complexity]),
+                         np.array([H.flops_per_cycle], dtype=np.int64)],
+    }
     cfg = SolveConfig(rtol=1e-10)
     rand = np.random.default_rng(1).standard_normal(A.nrows)
     iterations = {}
     for name, rhs, x0 in (('gen', b, np.ones(A.nrows)),
                           ('rand', rand, np.zeros(A.nrows))):
         x, stats = richardson_solve(H, rhs, x0, cfg)
-        arrays += [np.array(stats.residual_history), x]
+        parts[f'{name}.history'] = [np.array(stats.residual_history)]
+        parts[f'{name}.solution'] = [x]
         iterations[name] = stats.iterations
-    digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert tuple(parts) == PARTS
     return {
-        'digest': digest.hexdigest(),
+        'digests': {name: _sha256(arrays) for name, arrays in parts.items()},
         'level_n': [L.n for L in H.levels] + [H.coarsest_A.nrows],
         'level_nnz': [L.nnz_A for L in H.levels] + [H.coarsest_A.nnz],
         'iterations': iterations,
