@@ -15,7 +15,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -24,12 +24,13 @@ from .hierarchy import (SetupConfig, build_prolongation, hierarchy_summary,
 from .polynomial import COEFF_KINDS, POLY_KINDS
 from .problems import AdvectionProblem, build_advection_1d, build_advection_2d
 from .solve import DivergenceError, SolveConfig, richardson_solve
-from .sparse import write_matrix_market
-from .splitting import CFSplit, F_POINT, _dominance_ratios
+from .sparse import (_permutation, _permute, _row_lengths,
+                     write_matrix_market)
+from .splitting import CFSplit, C_POINT, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 # Each config field is one flag, ``--field-name``; boolean fields get paired
 # --flag/--no-flag options, and an ``X | None`` field also takes the literal
@@ -129,14 +130,45 @@ def _build_system(problem):
     return build_advection_2d(problem)
 
 
+def _problem_indices(H):
+    """Per level, the problem unknown at each of its cycle positions: level
+    ``k`` holds the last ``n_k`` entries of ``H.order``, because each level's
+    cycle order lists its F points and then the level below."""
+    start = 0
+    for L in H.levels:
+        yield H.order[start:]
+        start += L.split.n_f
+
+
+def _prolongation(L, problem_index):
+    """The one-point ``P`` that setup built for ``L``, in ``L``'s cycle
+    numbering.
+
+    ``build_prolongation`` breaks exact ties by the lowest C index.  Setup
+    built ``P`` in its own numbering, which orders a level's points as their
+    problem indices do (each ``c_set`` is increasing), so the C columns are
+    put in problem order for the build and the F rows' picks moved back.
+    """
+    n_f = L.split.n_f
+    by_problem = _permutation(np.argsort(problem_index[n_f:]))
+    P = build_prolongation(
+        _permute(L.A_fc, None, by_problem, _row_lengths(L.A_fc)), L.split)
+    cols = P.col_indices.copy()
+    cols[:n_f] = by_problem.order[cols[:n_f]]
+    return replace(P, col_indices=cols)
+
+
 def _dump_operators(H, directory):
     os.makedirs(directory, exist_ok=True)
     write_matrix_market(H.top_A, os.path.join(directory, 'top_A.mtx'))
     write_matrix_market(H.coarsest_A, os.path.join(directory,
                                                    'coarsest_A.mtx'))
-    for idx, L in enumerate(H.levels):
+    np.savetxt(os.path.join(directory, 'level0_order.txt'), H.order,
+               fmt='%d')
+    for idx, (L, problem_index) in enumerate(zip(H.levels,
+                                                 _problem_indices(H))):
         ops = {'R': restriction(L.Z, L.split),
-               'P': build_prolongation(L.A_fc, L.split),
+               'P': _prolongation(L, problem_index),
                'A_ff': L.A_ff, 'A_fc': L.A_fc}
         for name, op in ops.items():
             write_matrix_market(op, os.path.join(directory,
@@ -149,7 +181,11 @@ def _write_cf_diagnostics(H, directory):
         w = csv.writer(fh)
         w.writerow(['level', 'node', 'label'])
         for idx, L in enumerate(H.levels):
-            for node, lab in enumerate(L.split.labels):
+            labels = L.split.labels
+            if idx == 0:  # in the problem's numbering
+                labels = np.full(L.n, C_POINT, dtype=np.int8)
+                labels[H.order[:L.split.n_f]] = F_POINT
+            for node, lab in enumerate(labels):
                 w.writerow([idx, node, 'F' if lab == F_POINT else 'C'])
     with open(os.path.join(directory, 'ddc_ratio_histograms.csv'), 'w',
               newline='') as fh:

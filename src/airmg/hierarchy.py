@@ -12,6 +12,12 @@ is formed only ``A_ff``, ``A_fc`` and ``Z`` are retained per level: the cycle
 smooths fine points only, restricts with ``Z r_f + r_c`` and never applies
 ``P``.  ``P``, the full ``R`` (``restriction(Z, split)``) and the level
 matrix are intermediates of the Galerkin product.
+
+After the last level ``renumber`` puts every level into its cycle order: F
+points first, sorted stably by row length, then the level below in its own
+cycle order.  The cycle then reads each level's F and C parts as the two
+halves of its vectors; ``Hierarchy.order`` maps the top level's cycle
+positions to the problem's unknowns.
 """
 
 import logging
@@ -25,9 +31,10 @@ from .polynomial import (COEFF_KINDS, POLY_KINDS, PolySolver,
                          _poly_apply_flops, _random_unit_vector,
                          apply_matrix_free, assemble_fixed_sparsity,
                          gmres_poly_arnoldi, gmres_poly_newton, neumann_poly)
-from .sparse import (_INDEX, SparseMatrix, _add, _norm, _row_index,
-                     _row_max, drop_and_lump, extract, spgemm, spmv)
-from .splitting import CFSplit, cf_split
+from .sparse import (_INDEX, SparseMatrix, _add, _norm, _permutation,
+                     _permute, _row_index, _row_lengths, _row_max,
+                     _stable_order, drop_and_lump, extract, spgemm, spmv)
+from .splitting import C_POINT, F_POINT, CFSplit, cf_split
 
 __all__ = [
     'SetupConfig',
@@ -39,6 +46,7 @@ __all__ = [
     'build_prolongation',
     'coarse_matrix',
     'try_truncate',
+    'renumber',
     'setup',
     'count_cycle_flops',
     'hierarchy_summary',
@@ -49,7 +57,7 @@ _log = logging.getLogger(__name__)
 _SEED_SPLIT, _SEED_SMOOTHER, _SEED_COARSE_POLY, _SEED_TRUNC_RHS = range(4)
 
 SETUP_PHASES = ('cf_split', 'prolongator', 'polynomial', 'spgemm_R',
-                'spgemm_coarse', 'extract', 'drop', 'truncation')
+                'spgemm_coarse', 'extract', 'drop', 'truncation', 'renumber')
 
 
 def _derive_seed(root, level, role):
@@ -146,15 +154,19 @@ class SetupConfig:
 
 @dataclass
 class Level:
-    """Operators retained for the solve on one reduction level.
+    """Operators retained for the solve on one reduction level, in the
+    level's cycle order (``renumber``).
 
-    ``Z`` is the ``n_c x n_f`` F-column block of the restriction
-    ``R = [Z I]``, with columns numbered in ``split.f_set`` order; the unit C
-    block stays implicit, and ``restriction(Z, split)`` rebuilds ``R``.  The
-    one-point prolongator is not kept: the cycle never applies it, and
-    ``build_prolongation(A_fc, split)`` rebuilds it.  The cycle smooths with
-    ``f_smoother`` applied matrix-free on ``A_ff``.  ``nnz_A`` records the
-    size of the level matrix before it was discarded.
+    ``split`` is the level's split in that order: the ``n_f`` F points come
+    first (``f_set = arange(n_f)``), then the ``n_c`` C points, which are
+    the next level's unknowns in its own cycle order.  ``Z`` is the
+    ``n_c x n_f`` F-column block of the restriction ``R = [Z I]``; the unit
+    C block stays implicit, and ``restriction(Z, split)`` rebuilds ``R``.
+    The one-point prolongator is not kept: the cycle never applies it, and
+    ``build_prolongation(A_fc, split)`` rebuilds its pattern (setup broke
+    exact ties in its own numbering).  The cycle smooths with ``f_smoother``
+    applied matrix-free on ``A_ff``.  ``nnz_A`` records the size of the
+    level matrix before it was discarded.
     """
 
     Z: SparseMatrix
@@ -195,12 +207,19 @@ class Hierarchy:
     truncation tests in the order they ran, and the global complexity
     metrics.  ``flops_per_cycle`` is ``count_cycle_flops`` of the finished
     hierarchy, counted once by ``setup``; ``cycle_complexity`` is that count
-    over one top-grid SpMV (``2 * nnz``)."""
+    over one top-grid SpMV (``2 * nnz``).
+
+    ``order`` (``np.intp``) is the top level's cycle order: position ``i``
+    of level 0 is problem unknown ``order[i]``.  ``top_A`` and the solve's
+    vectors stay in the problem's numbering.  A hierarchy is not modified
+    after setup and holds no work vectors, so concurrent solves may share
+    it."""
 
     levels: list
     coarsest_A: SparseMatrix
     coarse_solver: PolySolver
     top_A: SparseMatrix
+    order: np.ndarray
     f_smooths: int = 1
     flops_per_cycle: int = 0
     cycle_complexity: float = 0.0
@@ -387,6 +406,66 @@ def try_truncate(A, cfg, level, record):
     return solver if accepted else None
 
 
+def _cycle_split(n_f, n_c, base):
+    """The split of a level in cycle order, F points first; its index sets
+    are views of ``base``, an ``arange`` at least as long as the level."""
+    labels = np.full(n_f + n_c, F_POINT, dtype=np.int8)
+    labels[n_f:] = C_POINT
+    return CFSplit(labels, base[:n_f], base[n_f:n_f + n_c])
+
+
+def renumber(levels):
+    """Renumber every level of ``levels`` into its cycle order, in place,
+    and return the top level's order ``sigma_0``.
+
+    The orders are built bottom-up: the coarsest level keeps its numbering
+    and level ``l`` takes ``sigma_l = [f_set[pi_l], c_set[sigma_{l+1}]]``.
+    ``pi_l`` sorts the level's F points stably by the nnz of their ``A_ff``
+    row, then of their row in the ``Z`` of the level above (the level's
+    unknowns are that ``Z``'s rows), then of their ``A_fc`` row, so the
+    cycle's SpMVs with ``A_ff``, ``Z`` and ``A_fc`` meet rows grouped by
+    length.  ``A_ff`` is permuted by ``pi_l`` on both sides, ``Z``'s rows by
+    ``sigma_{l+1}`` and its columns by ``pi_l``, and ``A_fc``'s rows by
+    ``pi_l`` and its columns by ``sigma_{l+1}``; each split becomes the
+    level's split in cycle order, F points first.  Entries move without
+    being combined, so every stored value keeps its bits.
+    """
+    # One entry per row (``None``) is an equal key, which the sort leaves out.
+    lengths = [tuple(_row_lengths(M) for M in (L.A_ff, L.A_fc, L.Z))
+               for L in levels]
+    f_orders = []
+    z_above = None
+    for L, (ff, fc, z) in zip(levels, lengths):
+        f_orders.append(_stable_order(
+            ff, None if z_above is None else z_above[L.split.f_set], fc))
+        z_above = z
+    base = np.arange(levels[0].n)
+    below = sigma = None  # the coarsest level keeps its numbering
+    for k in reversed(range(len(levels))):
+        L, f_order, (ff, fc, z) = levels[k], f_orders[k], lengths[k]
+        f, c = L.split.f_set, L.split.c_set
+        # Gathered straight into the halves of ``sigma``, with no temporary;
+        # the indices are in range, and ``clip`` skips buffering ``out``.
+        sigma = np.empty(L.n, dtype=np.intp)
+        if f_order is None:
+            sigma[:len(f)] = f
+        else:
+            np.take(f, f_order, out=sigma[:len(f)], mode='clip')
+        if below is None:
+            sigma[len(f):] = c
+        else:
+            np.take(c, below.order, out=sigma[len(f):], mode='clip')
+        pi = None if f_order is None else _permutation(f_order)
+        levels[k] = replace(
+            L, Z=_permute(L.Z, below, pi, z),
+            A_ff=_permute(L.A_ff, pi, pi, ff),
+            A_fc=_permute(L.A_fc, pi, below, fc),
+            split=_cycle_split(L.split.n_f, L.split.n_c, base))
+        if k:
+            below = _permutation(sigma)
+    return sigma
+
+
 def setup(A, cfg):
     """Build the multigrid hierarchy for ``A``.
 
@@ -395,7 +474,7 @@ def setup(A, cfg):
     restriction/prolongation pair and the Galerkin coarse matrix, and
     descend.  The full restrictions, prolongators and intermediate level
     matrices are released once used; only the top and coarsest matrices are
-    retained.
+    retained.  Last, ``renumber`` puts the levels into cycle order.
     """
     cfg.validate()
     if A.nrows != A.ncols:
@@ -450,8 +529,10 @@ def setup(A, cfg):
     if coarse_solver is None:
         with _Timer(timings, 'truncation'):
             coarse_solver = _build_coarse_solver(current, cfg, level)
+    with _Timer(timings, 'renumber'):
+        order = renumber(levels) if levels else np.arange(A.nrows)
     H = Hierarchy(levels=levels, coarsest_A=current,
-                  coarse_solver=coarse_solver, top_A=A,
+                  coarse_solver=coarse_solver, top_A=A, order=order,
                   f_smooths=len(cfg.smooth_type), truncated_at=truncated_at,
                   truncation_tests=tuple(truncation_tests),
                   setup_breakdown=timings)

@@ -8,6 +8,10 @@ then smooths only the fine points on the way back up: with the error update
 
 starting from ``e_f = 0``; coarse entries take the coarse-grid error
 directly.  The product ``A_fc e_c`` is cached across repeated smooths.
+Levels are stored in cycle order, F points first, so ``r_f``, ``r_c``,
+``e_f`` and ``e_c`` are the halves of the level's vectors; only the top
+level translates, through ``Hierarchy.order``.  A solve writes nothing into
+the hierarchy.
 """
 
 import math
@@ -86,30 +90,51 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
 
 
-def vcycle(H, level, r):
+def vcycle(H, level, r, out=None):
     """Error estimate for ``A_level e = r`` from one V-cycle recursion.
 
-    The restriction applies ``R = [Z I]`` as ``Z r_f + r_c`` on the gathered
-    F and C parts of ``r``.  Adding ``r_c`` last reproduces ``spmv(R, r)``
-    bit for bit when each C row's ``Z`` columns precede that C point in the
-    level's ordering, as in the lower-triangular natural orders; otherwise
-    the sums differ in rounding only.
+    Every level is stored in its cycle order, F points first
+    (``hierarchy.renumber``), so the F and C parts of ``r`` and ``e`` are
+    the two halves of the vector: below the top the cycle gathers and
+    scatters nothing, and each level writes its error straight into the C
+    half of the level above (``out``).  At ``level`` 0, ``r`` and the
+    returned ``e`` are in the problem's numbering, and ``H.order``
+    translates them.
+
+    The restriction applies ``R = [Z I]`` as ``Z r_f + r_c``.  In cycle
+    order the unit C columns of ``R`` come after its ``Z`` columns, so
+    adding ``r_c`` last reproduces ``spmv(R, r)`` bit for bit.
     """
     if level == len(H.levels):
-        return apply_matrix_free(H.coarse_solver, H.coarsest_A, r)
+        e = apply_matrix_free(H.coarse_solver, H.coarsest_A, r)
+        if out is not None:
+            out[:] = e
+        return e
+    if level == 0:
+        r = r[H.order]
     L = H.levels[level]
-    r_f = r[L.split.f_set]
+    n_f = L.split.n_f
+    r_f = r[:n_f]
     r_coarse = spmv(L.Z, r_f)
-    r_coarse += r[L.split.c_set]
-    e_c = vcycle(H, level + 1, r_coarse)
+    r_coarse += r[n_f:]
+    if level == 0:
+        e_c = np.empty(L.split.n_c)
+    else:
+        e = np.empty(L.n) if out is None else out
+        e_c = e[n_f:]
+    vcycle(H, level + 1, r_coarse, e_c)
     t = spmv(L.A_fc, e_c)
-    e_f = apply_matrix_free(L.f_smoother, L.A_ff, r_f - t)
+    residual_f = np.subtract(r_f, t, out=t)
+    e_f = apply_matrix_free(L.f_smoother, L.A_ff, residual_f)
     for _ in range(H.f_smooths - 1):
         e_f = e_f + apply_matrix_free(L.f_smoother, L.A_ff,
-                                      r_f - t - spmv(L.A_ff, e_f))
-    e = np.zeros(L.n)
-    e[L.split.f_set] = e_f
-    e[L.split.c_set] = e_c
+                                      residual_f - spmv(L.A_ff, e_f))
+    if level == 0:
+        e = np.empty(L.n)
+        e[H.order[:n_f]] = e_f
+        e[H.order[n_f:]] = e_c
+    else:
+        e[:n_f] = e_f
     return e
 
 

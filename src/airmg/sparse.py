@@ -25,8 +25,9 @@ Setup builds CSR in one of three ways: a kernel's output buffers (a product,
 a sum from ``_add``, a masked power sum from ``_masked_power_sum``, an
 elementwise mask) become canonical in ``_finish``, which trims them in place
 and sorts rows only when the kernel left them unsorted; the entries of a
-matrix are selected by ``_keep_entries`` or ``extract``; operators with one
-entry per row (the one-point prolongator) are written directly.
+matrix are selected by ``_keep_entries`` or ``extract``, or moved into a new
+numbering by ``_permute``, which the cycle-order renumbering uses; operators
+with one entry per row (the one-point prolongator) are written directly.
 ``SparseMatrix.from_coo`` sorts and sums coordinate triplets and is meant
 for outside input, such as test problems and Matrix Market files.
 
@@ -50,6 +51,7 @@ whose order is fixed by the shapes; BLAS ``ddot`` splits long sums by thread.
 """
 
 import io
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -413,6 +415,111 @@ def extract(A, rows, cols):
                                    len(row_cols), row_cols, row_values,
                                    out_cols, out_values)
     return SparseMatrix(n_rows, n_cols, offsets, out_cols, out_values)
+
+
+_Permutation = namedtuple('_Permutation', 'order inverse')
+
+
+def _permutation(order):
+    """The permutation ``order`` (new position -> old index) as ``np.intp``
+    with its ``inverse`` (old index -> new) as ``_INDEX``, the width of the
+    column indices it relabels, for ``_permute``."""
+    order = np.asarray(order, dtype=np.intp)
+    inverse = np.empty(len(order), dtype=_INDEX)
+    inverse[order] = np.arange(len(order), dtype=_INDEX)
+    return _Permutation(order, inverse)
+
+
+def _row_lengths(A):
+    """The number of entries in each row of ``A``, or ``None`` when every
+    row holds exactly one."""
+    if A.nnz == A.nrows and np.array_equal(
+            A.row_offsets, np.arange(A.nrows + 1, dtype=_INDEX)):
+        return None
+    return np.diff(A.row_offsets)
+
+
+def _permute(A, rows, cols, lengths):
+    """``A[rows, :][:, cols]`` for permutations from ``_permutation``: row
+    ``i`` of the result is row ``rows.order[i]`` of ``A``, and column ``j``
+    is column ``cols.order[j]``.  ``None`` keeps that numbering.
+    ``lengths`` is ``_row_lengths(A)``.
+
+    With one entry per row the entries are gathered.  Otherwise the column
+    indices are relabelled by a gather; where that leaves every row sorted,
+    or columns keep their numbering, rows move with scipy's
+    ``csr_row_index``, and where it does not, two scipy ``csr_tocsc``
+    transposes move and sort them, with the row indices relabelled in
+    between.  Values are moved, never combined, so every stored entry
+    keeps its bits.
+    """
+    if rows is None and cols is None:
+        return A
+    n, nnz = A.nrows, A.nnz
+    offsets, col_indices, values = A.row_offsets, A.col_indices, A.values
+    if lengths is None:
+        if rows is not None:
+            values = values[rows.order]
+            if cols is rows and np.array_equal(col_indices, offsets[:-1]):
+                cols = None  # a permuted diagonal stays diagonal
+            else:
+                col_indices = col_indices[rows.order]
+        if cols is not None:
+            col_indices = cols.inverse[col_indices.astype(np.intp)]
+        return SparseMatrix(n, A.ncols, offsets, col_indices, values)
+    if cols is not None:
+        col_indices = cols.inverse[col_indices.astype(np.intp)]
+        if not _sparsetools.csr_has_sorted_indices(n, offsets, col_indices):
+            t = _buffers(A.ncols, nnz)
+            _sparsetools.csr_tocsc(n, A.ncols, offsets, col_indices, values,
+                                   *t)
+            if rows is not None:
+                t[1][:] = rows.inverse[t[1].astype(np.intp)]
+            out = _buffers(n, nnz)
+            _sparsetools.csr_tocsc(A.ncols, n, *t, *out)
+            return SparseMatrix(n, A.ncols, *out)
+    if rows is not None:
+        offsets = np.empty(n + 1, dtype=_INDEX)
+        offsets[0] = 0
+        np.take(lengths, rows.order, out=offsets[1:], mode='clip')
+        np.cumsum(offsets[1:], out=offsets[1:])
+        moved = _buffers(n, nnz)[1:]
+        _sparsetools.csr_row_index(n, rows.order.astype(_INDEX), A.row_offsets,
+                                   col_indices, values, *moved)
+        col_indices, values = moved
+    return SparseMatrix(n, A.ncols, offsets, col_indices, values)
+
+
+def _stable_order(*keys):
+    """Stable order of the positions by non-negative integer ``keys``,
+    compared in turn (``None`` skips a key), or ``None`` when the positions
+    are in that order already.
+
+    A key that is equal everywhere is left out, and the others are packed
+    into one integer per position, so one stable sort ranks them; numpy's
+    stable sort is a radix sort when that integer fits 16 bits.
+    """
+    ranges = []
+    for key in keys:
+        if key is not None and len(key):
+            low, high = int(key.min()), int(key.max())
+            if low < high:
+                ranges.append((key, low, high - low + 1))
+    if not ranges:
+        return None
+    spans = np.prod([span for _, _, span in ranges], dtype=float)
+    if spans > 2.0 ** 62:
+        return np.lexsort([key for key, _, _ in ranges[::-1]])
+    width = (np.uint16 if spans <= 2 ** 16
+             else _INDEX if spans <= _INDEX_MAX else np.int64)
+    key, low, _ = ranges[0]
+    packed = (key - low).astype(width, copy=False)
+    for key, low, span in ranges[1:]:
+        packed *= span
+        packed += (key - low).astype(width, copy=False)
+    if np.all(packed[1:] >= packed[:-1]):
+        return None
+    return np.argsort(packed, kind='stable')
 
 
 def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):

@@ -2,9 +2,11 @@
 
 ``solve.vcycle`` restricts with ``Z r_f + r_c`` and never stores the unit
 block of ``R = [Z I]``.  ``explicit_r_vcycle`` assembles ``R`` with
-``restriction(Z, split)`` and restricts with ``spmv(R, r)``; the rest of the
-cycle is the same.  Where every ``Z`` column of a C row precedes that C point
-in the level's ordering the two agree bit for bit.
+``restriction(Z, split)`` and restricts with ``spmv(R, r)``, gathering and
+scattering through the split's index sets; the rest of the cycle is the
+same, and level 0 goes through ``H.order`` as ``vcycle`` does.  Levels are
+stored in cycle order, where ``R``'s unit C columns come after its ``Z``
+columns, so the two cycles agree bit for bit on any input ordering.
 """
 
 import numpy as np
@@ -16,6 +18,14 @@ def explicit_r_vcycle(H, level, r):
     """Error estimate for ``A_level e = r``, restricting with the full ``R``."""
     if level == len(H.levels):
         return apply_matrix_free(H.coarse_solver, H.coarsest_A, r)
+    if level == 0:
+        e = np.zeros(len(r))
+        e[H.order] = _cycle(H, r[H.order])
+        return e
+    return _cycle(H, r, level)
+
+
+def _cycle(H, r, level=0):
     L = H.levels[level]
     e_c = explicit_r_vcycle(H, level + 1, spmv(restriction(L.Z, L.split), r))
     r_f = r[L.split.f_set]

@@ -82,7 +82,7 @@ def hierarchy_digest(A, b):
     numbers.
 
     The parts (``PARTS``) are every level's ``Z``/``A_ff``/``A_fc``; the
-    split labels; the smoother coefficients; the coarsest matrix and the
+    split labels with the top level's cycle order; the smoother coefficients; the coarsest matrix and the
     coarse solver; the truncation record; the three complexities with
     ``flops_per_cycle``; and the residual history and the solution of two
     solves: ``b`` from ``x0 = 1`` ("gen") and a standard-normal rhs from
@@ -92,7 +92,7 @@ def hierarchy_digest(A, b):
     parts = {
         'operators': [a for L in H.levels for M in (L.Z, L.A_ff, L.A_fc)
                       for a in _matrix_arrays(M)],
-        'splits': [L.split.labels for L in H.levels],
+        'splits': [L.split.labels for L in H.levels] + [H.order],
         'smoothers': [a for L in H.levels for a in _poly_arrays(L.f_smoother)],
         'coarse': _matrix_arrays(H.coarsest_A) + _poly_arrays(H.coarse_solver),
         'truncation': [np.frombuffer(repr([

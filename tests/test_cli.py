@@ -20,6 +20,7 @@ from airmg.cli import (SETUP_FLAG_MAP, SOLVE_FLAG_MAP, main, _build_parser,
                        _config_from_args)
 from airmg import hierarchy
 from airmg.polynomial import COEFF_KINDS, POLY_KINDS
+from cycle_orders import assert_same_bits, cycle_orders, reindexed
 
 
 def run_cli(tmp_path, *args, name='out.json'):
@@ -45,7 +46,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 11
+    assert res['schema_version'] == 12
     assert not any('nnz_smoother_assembled' in level
                    for level in res['summary']['levels'])
     assert res['solve']['residual_history'][0] > 0
@@ -424,26 +425,66 @@ def test_dump_operators_and_cf_diagnostics(tmp_path):
 
 
 def test_dumped_prolongators_are_the_ones_setup_used(tmp_path, monkeypatch):
-    # The hierarchy keeps no P; the dump rebuilds it from A_fc and the split.
-    used = []
+    # The hierarchy keeps no P; the dump rebuilds it from A_fc and the split
+    # in each level's cycle numbering, with setup's choice among exactly
+    # tied couplings, so it is setup's P under the level permutations.
+    used, recorded = [], []
     build = hierarchy.build_prolongation
+    restrict = hierarchy.build_restriction
 
     def recording(A_fc, split):
         used.append(build(A_fc, split))
         return used[-1]
 
+    def recording_restriction(*args, **kwargs):
+        out = restrict(*args, **kwargs)
+        recorded.append((args[1],) + tuple(out[:3]))
+        return out
+
     monkeypatch.setattr(hierarchy, 'build_prolongation', recording)
+    monkeypatch.setattr(hierarchy, 'build_restriction', recording_restriction)
     ops = tmp_path / 'ops'
     code, res = run_cli(tmp_path, '--n', '32', '--dump-operators', str(ops))
     assert code == 0
     assert len(used) == res['summary']['num_levels'] > 0
     assert not (ops / f'level{len(used)}_P.mtx').exists()
-    for k, P in enumerate(used):
-        got = read_matrix_market(ops / f'level{k}_P.mtx')
-        assert (got.nrows, got.ncols) == (P.nrows, P.ncols)
-        assert np.array_equal(got.row_offsets, P.row_offsets)
-        assert np.array_equal(got.col_indices, P.col_indices)
-        assert np.array_equal(got.values, P.values)
+    _, sigma = cycle_orders(recorded)
+    ties = 0
+    for k, (P, (_, _, _, A_fc)) in enumerate(zip(used, recorded)):
+        assert_same_bits(read_matrix_market(ops / f'level{k}_P.mtx'),
+                         reindexed(P, sigma[k], sigma[k + 1]))
+        absv = np.abs(A_fc.to_dense())
+        ties += int(np.sum(np.sum(absv == absv.max(axis=1, keepdims=True),
+                                  axis=1) > 1))
+    # Exactly tied couplings occur here, so the ties are part of the check.
+    assert ties > 0
+
+
+def test_dumped_order_maps_the_problem_onto_level_0(tmp_path):
+    # ``top_A`` in the dumped level-0 order leads with the stored A_ff, and
+    # the CF labels give level 0 in the problem's numbering: its F nodes are
+    # the first n_f entries of the order.
+    ops, diag = tmp_path / 'ops', tmp_path / 'diag'
+    code, res = run_cli(tmp_path, '--n', '24', '--dump-operators', str(ops),
+                        '--cf-diagnostics', str(diag))
+    assert code == 0
+    order = np.loadtxt(ops / 'level0_order.txt', dtype=np.intp)
+    top = read_matrix_market(ops / 'top_A.mtx')
+    assert np.array_equal(np.sort(order), np.arange(top.nrows))
+    A_ff = read_matrix_market(ops / 'level0_A_ff.mtx')
+    n_f = res['summary']['levels'][0]['n_f']
+    assert A_ff.nrows == n_f
+    lead = top.to_dense()[np.ix_(order, order)][:n_f, :n_f]
+    assert np.array_equal(lead, A_ff.to_dense())
+    rows = list(csv.reader((diag / 'cf_labels.csv').open()))[1:]
+    level0 = [(int(node), label) for level, node, label in rows
+              if level == '0']
+    assert [node for node, _ in level0] == list(range(top.nrows))
+    f_nodes = [node for node, label in level0 if label == 'F']
+    assert f_nodes == sorted(order[:n_f])
+    level1 = [label for level, _, label in rows if level == '1']
+    n_f1 = res['summary']['levels'][1]['n_f']
+    assert level1 == ['F'] * n_f1 + ['C'] * (len(level1) - n_f1)
 
 
 def test_repeats_and_second_solve_controls(tmp_path):

@@ -19,6 +19,8 @@ from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _level_cycle_flops, _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
 from airmg.splitting import _level_view, _repair_split
+from cycle_orders import (cycle_orders, f_key, record_setup, reindexed,
+                          row_lengths)
 from golden import CASES, permuted
 from structural_spgemm import assert_same_without_zeros, structural_spgemm
 
@@ -638,8 +640,9 @@ def test_setup_forms_three_products_per_level(monkeypatch):
 def test_kept_z_reproduces_the_restriction_setup_used(case, monkeypatch,
                                                      tmp_path):
     # Levels keep Z, the F-column block of the R = [Z I] that the Galerkin
-    # product read; ``restriction`` rebuilds that R array for array, and
-    # ``--dump-operators`` writes it.
+    # product read, in cycle order; ``restriction`` rebuilds that R under the
+    # level permutations, array for array, and ``--dump-operators`` writes
+    # it.
     used = []
     galerkin = hierarchy.coarse_matrix
 
@@ -648,14 +651,50 @@ def test_kept_z_reproduces_the_restriction_setup_used(case, monkeypatch,
         return galerkin(A, R, P, cfg, **kwargs)
 
     monkeypatch.setattr(hierarchy, 'coarse_matrix', recording)
-    H = setup(CASES[case]()[0], SetupConfig())
+    H, recorded = record_setup(monkeypatch, CASES[case]()[0])
+    _, sigma = cycle_orders(recorded)
     assert len(used) == H.num_levels > 0
     _dump_operators(H, tmp_path)
     for k, (L, R) in enumerate(zip(H.levels, used)):
-        _assert_same_bits(restriction(L.Z, L.split), R)
-        _assert_same_bits(L.Z, extract(R, np.arange(L.split.n_c),
+        want = reindexed(R, sigma[k + 1], sigma[k])
+        _assert_same_bits(restriction(L.Z, L.split), want)
+        _assert_same_bits(L.Z, extract(want, np.arange(L.split.n_c),
                                        L.split.f_set))
-        _assert_same_bits(read_matrix_market(tmp_path / f'level{k}_R.mtx'), R)
+        _assert_same_bits(read_matrix_market(tmp_path / f'level{k}_R.mtx'),
+                          want)
+
+
+@pytest.mark.parametrize('case', ['pi4_64', 'pi4_perm_48', 'chain_16384'])
+def test_stored_levels_are_the_setup_operators_renumbered(case, monkeypatch):
+    # Each level holds the Z, A_ff and A_fc that setup built, permuted into
+    # cycle order entry for entry with the bits of every value kept: F points
+    # first, sorted stably by the documented key, then the level below.
+    H, recorded = record_setup(monkeypatch, CASES[case]()[0])
+    pi, sigma = cycle_orders(recorded)
+    assert len(recorded) == H.num_levels > 0
+    assert np.array_equal(H.order, sigma[0])
+    assert H.order.dtype == np.intp
+    moved = 0
+    for k, (L, (split, Z, A_ff, A_fc)) in enumerate(zip(H.levels, recorded)):
+        _assert_same_bits(L.A_ff, reindexed(A_ff, pi[k], pi[k]))
+        _assert_same_bits(L.Z, reindexed(Z, sigma[k + 1], pi[k]))
+        _assert_same_bits(L.A_fc, reindexed(A_fc, pi[k], sigma[k + 1]))
+        assert np.array_equal(L.split.f_set, np.arange(split.n_f))
+        assert np.array_equal(L.split.c_set, np.arange(split.n_f, split.n))
+        assert np.all(L.split.labels[:split.n_f] == F_POINT)
+        assert np.all(L.split.labels[split.n_f:] == C_POINT)
+        # The stored F block is non-decreasing in the key, read from the
+        # stored operators themselves.
+        z_above = (row_lengths(H.levels[k - 1].Z)[:split.n_f] if k
+                   else np.zeros(split.n_f, dtype=np.intp))
+        stored = np.stack([row_lengths(L.A_ff), z_above,
+                           row_lengths(L.A_fc)])
+        assert np.array_equal(stored, f_key(recorded, k)[:, pi[k]])
+        steps = np.diff(stored, axis=1)
+        first = np.argmax(steps != 0, axis=0)
+        assert np.all(steps[first, np.arange(steps.shape[1])] >= 0)
+        moved += not np.array_equal(pi[k], np.arange(split.n_f))
+    assert moved > 0
 
 
 def test_setup_extracts_three_blocks_per_level(monkeypatch):

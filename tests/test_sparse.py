@@ -449,6 +449,75 @@ def test_extract_empty_rows():
     assert got.nrows == 0 and got.ncols == 3 and got.nnz == 0
 
 
+def _matrix_of_kind(kind, rng, nrows, ncols):
+    if kind == 'diagonal':
+        return SparseMatrix.csr(nrows, nrows, np.arange(nrows + 1),
+                                np.arange(nrows), rng.uniform(1, 2, nrows))
+    if kind == 'one per row':
+        return SparseMatrix.csr(nrows, ncols, np.arange(nrows + 1),
+                                rng.integers(0, ncols, nrows),
+                                rng.uniform(-1.0, 1.0, nrows))
+    return random_sparse(rng, nrows, ncols, 0.2)
+
+
+@pytest.mark.parametrize('kind', ['general', 'one per row', 'diagonal'])
+@pytest.mark.parametrize('moved', ['rows', 'cols', 'both', 'symmetric'])
+def test_permute_matches_dense_indexing_bitwise(kind, moved):
+    # Every path of ``_permute``: general rows (the transposes when a row
+    # comes out unsorted, ``csr_row_index`` otherwise), one entry per row,
+    # and a diagonal permuted on both sides.  The result is canonical and
+    # holds the input's values, bit for bit.
+    rng = np.random.default_rng(len(kind) + len(moved))
+    n = 40
+    A = _matrix_of_kind(kind, rng, n, n if moved == 'symmetric' else 30)
+    rows = sparse._permutation(rng.permutation(A.nrows))
+    cols = (rows if moved == 'symmetric'
+            else sparse._permutation(rng.permutation(A.ncols)))
+    if moved == 'rows':
+        cols = None
+    if moved == 'cols':
+        rows = None
+    got = validate(sparse._permute(A, rows, cols, sparse._row_lengths(A)))
+    want = A.to_dense()
+    if rows is not None:
+        want = want[rows.order]
+    if cols is not None:
+        want = want[:, cols.order]
+    assert np.array_equal(got.to_dense(), want)
+    assert np.array_equal(np.sort(got.values.view(np.uint64)),
+                          np.sort(A.values.view(np.uint64)))
+    assert got.row_offsets.dtype == got.col_indices.dtype == np.int32
+
+
+def test_permute_with_no_permutation_is_the_matrix():
+    A = random_sparse(np.random.default_rng(5), 6, 6, 0.5)
+    assert sparse._permute(A, None, None, sparse._row_lengths(A)) is A
+
+
+def test_permutation_inverts_the_order():
+    order = np.random.default_rng(6).permutation(50)
+    got, inverse = sparse._permutation(order)
+    assert got.dtype == np.intp and inverse.dtype == np.int32
+    assert np.array_equal(inverse[order], np.arange(50))
+
+
+@pytest.mark.parametrize('spans', [(3, 1, 4), (300, 200, 2), (70000, 3, 1),
+                                   (5, 1, 1)])
+def test_stable_order_is_lexsort_of_the_keys(spans):
+    # Packed into 16 bits, into 32 bits, and with a key whose values lie
+    # far above 16 bits; a constant key is left out and the positions in
+    # order already give None.
+    rng = np.random.default_rng(sum(spans))
+    n = 2000
+    keys = [(1 << 17) + rng.integers(0, span, n).astype(np.int32)
+            for span in spans]
+    want = np.lexsort(keys[::-1])
+    got = sparse._stable_order(keys[0], None, *keys[1:])
+    assert np.array_equal(got, want)
+    assert sparse._stable_order(*(k[want] for k in keys)) is None
+    assert sparse._stable_order(np.full(n, 3, dtype=np.int32)) is None
+
+
 def test_extract_out_of_range():
     A = SparseMatrix.identity(3)
     with pytest.raises(ValueError):
