@@ -4,6 +4,10 @@ A lower bidiagonal advection matrix is the reduction-multigrid analogue of
 cyclic reduction: every level's independent-set splitting leaves a diagonal
 fine-fine block, the polynomial inverse of a diagonal matrix is exact, so the
 restriction is exactly ideal and one V-cycle solves the system to roundoff.
+The blocks are read from the setup record: the last diagonal-dominance pass
+finds no F-F coupling on any level (``ratio_max == 0``).  The smoothers come
+out with degree 0, scalings that read no matrix, so the levels keep no
+fine-fine block at all.
 """
 
 import numpy as np
@@ -15,10 +19,12 @@ for n in (64, 1024, 4096):
     A = build_advection_1d(n, vx=1.0)
     H = setup(A, SetupConfig(strong_threshold=0.5, poly_order=1))
 
-    diagonal_blocks = all(L.A_ff.nnz == L.A_ff.nrows for L in H.levels)
+    diagonal_blocks = all(L.ddc_stats[-1].ratio_max == 0 for L in H.levels)
+    degree_zero = all(L.f_smoother.effective_order == 0 for L in H.levels)
     print(f'n = {n:5d}: {len(H.levels)} reduction levels, '
           f'coarsest size {H.coarsest_A.nrows}, '
-          f'every fine block diagonal: {diagonal_blocks}')
+          f'every fine block diagonal: {diagonal_blocks}, '
+          f'every smoother of degree 0: {degree_zero}')
 
     rng = np.random.default_rng(n)
     b = rng.uniform(-1.0, 1.0, n)

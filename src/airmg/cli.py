@@ -30,7 +30,7 @@ from .splitting import CFSplit, C_POINT, F_POINT, _dominance_ratios
 
 __all__ = ['main', 'run', 'SETUP_FLAG_MAP', 'SOLVE_FLAG_MAP']
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 # Each config field is one flag, ``--field-name``; boolean fields get paired
 # --flag/--no-flag options, and an ``X | None`` field also takes the literal
@@ -171,8 +171,9 @@ def _dump_operators(H, directory):
                'P': _prolongation(L, problem_index),
                'A_ff': L.A_ff, 'A_fc': L.A_fc}
         for name, op in ops.items():
-            write_matrix_market(op, os.path.join(directory,
-                                                 f'level{idx}_{name}.mtx'))
+            if op is not None:  # a level may keep no A_ff
+                write_matrix_market(op, os.path.join(
+                    directory, f'level{idx}_{name}.mtx'))
 
 
 def _write_cf_diagnostics(H, directory):
@@ -192,6 +193,8 @@ def _write_cf_diagnostics(H, directory):
         w = csv.writer(fh)
         w.writerow(['level', 'bin_lo', 'bin_hi', 'count'])
         for idx, L in enumerate(H.levels):
+            if L.A_ff is None:  # its smoother has degree 0 (README)
+                continue
             all_fine = np.full(L.A_ff.nrows, F_POINT, dtype=np.int8)
             ratios = _dominance_ratios(L.A_ff, CFSplit.from_labels(all_fine))
             counts, edges = np.histogram(ratios, bins=50)

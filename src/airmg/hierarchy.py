@@ -8,10 +8,11 @@ The split comes back repaired for the one-point prolongator; each split
 block is extracted once, by ``build_restriction``, and ``P`` uses ``A_fc``.
 Once a high-order tentative coarse polynomial can solve the current level to
 a loose tolerance the hierarchy is truncated there.  After the coarse matrix
-is formed only ``A_ff``, ``A_fc`` and ``Z`` are retained per level: the cycle
-smooths fine points only, restricts with ``Z r_f + r_c`` and never applies
-``P``.  ``P``, the full ``R`` (``restriction(Z, split)``) and the level
-matrix are intermediates of the Galerkin product.
+is formed only ``A_fc``, ``Z`` and, where the cycle multiplies by it,
+``A_ff`` are retained per level: the cycle smooths fine points only,
+restricts with ``Z r_f + r_c`` and never applies ``P``.  ``P``, the full
+``R`` (``restriction(Z, split)``) and the level matrix are intermediates of
+the Galerkin product.
 
 After the last level ``renumber`` puts every level into its cycle order: F
 points first, sorted stably by row length, then the level below in its own
@@ -165,12 +166,15 @@ class Level:
     The one-point prolongator is not kept: the cycle never applies it, and
     ``build_prolongation(A_fc, split)`` rebuilds its pattern (setup broke
     exact ties in its own numbering).  The cycle smooths with ``f_smoother``
-    applied matrix-free on ``A_ff``.  ``nnz_A`` records the size of the
-    level matrix before it was discarded.
+    applied matrix-free on ``A_ff``.  ``A_ff`` is ``None`` when the cycle
+    never multiplies by it (``_cycle_reads_A_ff``): a smoother of degree 0
+    is a scaling of the residual, and with one smooth per cycle no residual
+    update reads the block either.  ``nnz_A`` records the size of the level
+    matrix before it was discarded.
     """
 
     Z: SparseMatrix
-    A_ff: SparseMatrix
+    A_ff: SparseMatrix | None
     A_fc: SparseMatrix
     f_smoother: PolySolver
     split: CFSplit
@@ -406,12 +410,34 @@ def try_truncate(A, cfg, level, record):
     return solver if accepted else None
 
 
+def _cycle_reads_A_ff(smoother, f_smooths):
+    """Whether a V-cycle multiplies by a level's ``A_ff``: its smoother has
+    degree 1 or more, or a smooth after the first forms ``r_f - A_ff e_f``.
+    A degree-0 smoother scales the residual and reads no matrix."""
+    return smoother.effective_order >= 1 or f_smooths > 1
+
+
+def _nnz(M):
+    """Entries stored in ``M``; a block a level does not keep holds none."""
+    return 0 if M is None else M.nnz
+
+
 def _cycle_split(n_f, n_c, base):
     """The split of a level in cycle order, F points first; its index sets
     are views of ``base``, an ``arange`` at least as long as the level."""
     labels = np.full(n_f + n_c, F_POINT, dtype=np.int8)
     labels[n_f:] = C_POINT
     return CFSplit(labels, base[:n_f], base[n_f:n_f + n_c])
+
+
+def _reorder_smoother(p, f_order):
+    """``p`` for the F points taken in ``f_order`` (``None`` keeps their
+    order): a Neumann smoother's ``diag_scale`` holds one entry per F point
+    and moves with them; the other kinds hold scalars only and come back
+    unchanged."""
+    if f_order is None or p.diag_scale is None:
+        return p
+    return replace(p, diag_scale=p.diag_scale[f_order])
 
 
 def renumber(levels):
@@ -424,14 +450,18 @@ def renumber(levels):
     row, then of their row in the ``Z`` of the level above (the level's
     unknowns are that ``Z``'s rows), then of their ``A_fc`` row, so the
     cycle's SpMVs with ``A_ff``, ``Z`` and ``A_fc`` meet rows grouped by
-    length.  ``A_ff`` is permuted by ``pi_l`` on both sides, ``Z``'s rows by
-    ``sigma_{l+1}`` and its columns by ``pi_l``, and ``A_fc``'s rows by
-    ``pi_l`` and its columns by ``sigma_{l+1}``; each split becomes the
-    level's split in cycle order, F points first.  Entries move without
-    being combined, so every stored value keeps its bits.
+    length; a level that keeps no ``A_ff`` leaves out its key.  ``A_ff`` is
+    permuted by ``pi_l`` on both sides, a Neumann smoother's ``diag_scale``
+    by ``pi_l``, ``Z``'s rows by ``sigma_{l+1}`` and its columns by
+    ``pi_l``, and ``A_fc``'s rows by ``pi_l`` and its columns by
+    ``sigma_{l+1}``; each split becomes the level's split in cycle order, F
+    points first.  Entries move without being combined, so every stored
+    value keeps its bits.
     """
-    # One entry per row (``None``) is an equal key, which the sort leaves out.
-    lengths = [tuple(_row_lengths(M) for M in (L.A_ff, L.A_fc, L.Z))
+    # One entry per row (``None``) is an equal key, which the sort leaves
+    # out, as it does an absent block's.
+    lengths = [tuple(None if M is None else _row_lengths(M)
+                     for M in (L.A_ff, L.A_fc, L.Z))
                for L in levels]
     f_orders = []
     z_above = None
@@ -458,8 +488,9 @@ def renumber(levels):
         pi = None if f_order is None else _permutation(f_order)
         levels[k] = replace(
             L, Z=_permute(L.Z, below, pi, z),
-            A_ff=_permute(L.A_ff, pi, pi, ff),
+            A_ff=None if L.A_ff is None else _permute(L.A_ff, pi, pi, ff),
             A_fc=_permute(L.A_fc, pi, below, fc),
+            f_smoother=_reorder_smoother(L.f_smoother, f_order),
             split=_cycle_split(L.split.n_f, L.split.n_c, base))
         if k:
             below = _permutation(sigma)
@@ -474,7 +505,9 @@ def setup(A, cfg):
     restriction/prolongation pair and the Galerkin coarse matrix, and
     descend.  The full restrictions, prolongators and intermediate level
     matrices are released once used; only the top and coarsest matrices are
-    retained.  Last, ``renumber`` puts the levels into cycle order.
+    retained.  A level's ``A_ff`` is released with them when the cycle never
+    multiplies by it (``_cycle_reads_A_ff``).  Last, ``renumber`` puts the
+    levels into cycle order.
     """
     cfg.validate()
     if A.nrows != A.ncols:
@@ -515,6 +548,8 @@ def setup(A, cfg):
             break
         Z, A_ff, A_fc, smoother = build_restriction(
             current, split, cfg, level=level, timings=timings)
+        if not _cycle_reads_A_ff(smoother, len(cfg.smooth_type)):
+            A_ff = None  # not held through the next level's split either
         with _Timer(timings, 'spgemm_R'):
             R = restriction(Z, split)
         with _Timer(timings, 'prolongator'):
@@ -536,7 +571,7 @@ def setup(A, cfg):
                   f_smooths=len(cfg.smooth_type), truncated_at=truncated_at,
                   truncation_tests=tuple(truncation_tests),
                   setup_breakdown=timings)
-    retained = sum(L.A_ff.nnz + L.A_fc.nnz + L.Z.nnz for L in H.levels)
+    retained = sum(_nnz(L.A_ff) + L.A_fc.nnz + L.Z.nnz for L in H.levels)
     H.storage_complexity = (retained + A.nnz + H.coarsest_A.nnz) / A.nnz
     H.flops_per_cycle = count_cycle_flops(H)
     H.cycle_complexity = H.flops_per_cycle / (2.0 * A.nnz)
@@ -565,7 +600,11 @@ def count_cycle_flops(H):
     * matrix-free smoother application of degree ``d``: ``2*n + d*(2*nnz +
       2*n)`` for coefficient form, ``2*n + d*(2*nnz + 6*n)`` for the Neumann
       series, ``2*nnz + 4*n`` per real root and ``4*nnz + 10*n`` per
-      conjugate pair for the Newton form.
+      conjugate pair for the Newton form; a degree-0 smoother, applied
+      without ``A_ff``, costs ``2*n_f`` either way.
+
+    A level that keeps no ``A_ff`` counts it as 0 entries; its one smooth
+    has degree 0, so its count reads no ``nnz`` and comes out the same.
     """
     total = sum(_level_cycle_flops(L, H.f_smooths) for L in H.levels)
     total += _poly_apply_flops(H.coarse_solver, H.coarsest_A.nnz,
@@ -576,15 +615,16 @@ def count_cycle_flops(H):
 def _level_cycle_flops(L, f_smooths):
     """FLOPs that level ``L`` adds to one V-cycle (``count_cycle_flops``)."""
     n_f = len(L.split.f_set)
-    smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
+    nnz_ff = _nnz(L.A_ff)
+    smooth = _poly_apply_flops(L.f_smoother, nnz_ff, n_f)
     return (2 * L.Z.nnz + L.split.n_c + 2 * L.A_fc.nnz + 2 * n_f + smooth
-            + (f_smooths - 1) * (2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f))
+            + (f_smooths - 1) * (2 * nnz_ff + 4 * n_f + smooth + 2 * n_f))
 
 
 def hierarchy_summary(H):
     """JSON-serialisable summary: per-level sizes and nonzero counts, the
     coarse solver, the truncation tests and decision, and complexity
-    metrics."""
+    metrics.  ``nnz_A_ff`` is ``None`` for a level that keeps no ``A_ff``."""
     levels = []
     for idx, L in enumerate(H.levels):
         levels.append({
@@ -593,7 +633,7 @@ def hierarchy_summary(H):
             'n_f': int(L.split.n_f),
             'n_c': int(L.split.n_c),
             'nnz_A': int(L.nnz_A),
-            'nnz_A_ff': int(L.A_ff.nnz),
+            'nnz_A_ff': None if L.A_ff is None else int(L.A_ff.nnz),
             'nnz_A_fc': int(L.A_fc.nnz),
             'nnz_Z': int(L.Z.nnz),
             'smoother_kind': L.f_smoother.kind,

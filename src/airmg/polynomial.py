@@ -373,6 +373,20 @@ def _apply_horner(coeffs, A, b):
     return y
 
 
+def _apply_degree_zero(p, b):
+    """``q(A) b`` for a coefficient-kind polynomial of degree 0, a scaling
+    that reads nothing of ``A``: ``coeffs[0] * b`` (``arnoldi``) or
+    ``diag_scale * b`` (``neumann``), bitwise what ``apply_matrix_free``
+    computes at that degree."""
+    if p.kind not in COEFF_KINDS or p.effective_order != 0:
+        raise ValueError('a degree-0 application needs a coefficient-kind '
+                         f'polynomial of degree 0, not {p.kind} of degree '
+                         f'{p.effective_order}')
+    if p.kind == 'arnoldi':
+        return p.coeffs[0] * b
+    return p.diag_scale * b
+
+
 def _apply_neumann(p, A, b):
     t = p.diag_scale * b
     acc = t.copy()

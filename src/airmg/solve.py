@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import apply_matrix_free
+from .polynomial import _apply_degree_zero, apply_matrix_free
 from .sparse import _norm, spmv
 
 __all__ = [
@@ -103,7 +103,10 @@ def vcycle(H, level, r, out=None):
 
     The restriction applies ``R = [Z I]`` as ``Z r_f + r_c``.  In cycle
     order the unit C columns of ``R`` come after its ``Z`` columns, so
-    adding ``r_c`` last reproduces ``spmv(R, r)`` bit for bit.
+    adding ``r_c`` last reproduces ``spmv(R, r)`` bit for bit.  A level
+    that keeps no ``A_ff`` has one smooth with a degree-0 smoother, which
+    scales the residual without a matrix, bitwise as ``apply_matrix_free``
+    would.
     """
     if level == len(H.levels):
         e = apply_matrix_free(H.coarse_solver, H.coarsest_A, r)
@@ -125,7 +128,10 @@ def vcycle(H, level, r, out=None):
     vcycle(H, level + 1, r_coarse, e_c)
     t = spmv(L.A_fc, e_c)
     residual_f = np.subtract(r_f, t, out=t)
-    e_f = apply_matrix_free(L.f_smoother, L.A_ff, residual_f)
+    if L.A_ff is None:
+        e_f = _apply_degree_zero(L.f_smoother, residual_f)
+    else:
+        e_f = apply_matrix_free(L.f_smoother, L.A_ff, residual_f)
     for _ in range(H.f_smooths - 1):
         e_f = e_f + apply_matrix_free(L.f_smoother, L.A_ff,
                                       residual_f - spmv(L.A_ff, e_f))

@@ -544,9 +544,11 @@ def drop_and_lump(A, rel_tol, lump, keep_diagonal=True):
             or (rel_tol <= 1 and np.diff(A.row_offsets).max() <= 1)):
         return A
     row_of = _row_index(A)
-    rowmax = _row_max(np.abs(A.values), row_of, A.nrows)
-    is_diag = (A.col_indices == row_of) & keep_diagonal
-    keep = is_diag | (np.abs(A.values) >= rel_tol * rowmax[row_of])
+    absv = np.abs(A.values)
+    keep = absv >= rel_tol * _row_max(absv, row_of, A.nrows)[row_of]
+    if keep_diagonal:
+        is_diag = A.col_indices == row_of
+        keep |= is_diag
     if np.all(keep):
         return A
     if not lump:

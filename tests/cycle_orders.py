@@ -1,11 +1,12 @@
 """The cycle orders of a hierarchy, rebuilt from the operators setup made.
 
 ``record_setup`` runs ``setup`` with a spy on ``build_restriction`` and
-returns each level's split, ``Z``, ``A_ff`` and ``A_fc`` in setup order.
-``cycle_orders`` rebuilds from them the orders that ``hierarchy.renumber``
-documents, with ``np.lexsort`` in place of the library's packed sort, and
-``reindexed`` permutes a matrix through coordinates, in place of the
-library's ``csr_row_index`` path.
+returns each level's split, ``Z``, ``A_ff``, ``A_fc`` and F smoother in
+setup order.  ``keeps_A_ff`` states when a level keeps its ``A_ff``.
+``cycle_orders`` rebuilds from the records the orders that
+``hierarchy.renumber`` documents, with ``np.lexsort`` in place of the
+library's packed sort, and ``reindexed`` permutes a matrix through
+coordinates, in place of the library's ``csr_row_index`` path.
 """
 
 import numpy as np
@@ -14,14 +15,14 @@ from airmg import SetupConfig, SparseMatrix, hierarchy, setup
 
 
 def record_setup(monkeypatch, A, cfg=SetupConfig()):
-    """``setup(A, cfg)`` and, per level, ``(split, Z, A_ff, A_fc)`` as
-    ``build_restriction`` returned them."""
+    """``setup(A, cfg)`` and, per level, ``(split, Z, A_ff, A_fc,
+    smoother)`` as ``build_restriction`` returned them."""
     recorded = []
     build = hierarchy.build_restriction
 
     def spy(*args, **kwargs):
         out = build(*args, **kwargs)
-        recorded.append((args[1],) + tuple(out[:3]))
+        recorded.append((args[1],) + tuple(out))
         return out
 
     monkeypatch.setattr(hierarchy, 'build_restriction', spy)
@@ -30,25 +31,36 @@ def record_setup(monkeypatch, A, cfg=SetupConfig()):
     return H, recorded
 
 
+def keeps_A_ff(smoother, f_smooths=1):
+    """Whether a level keeps its ``A_ff``: when its cycle multiplies by it,
+    which a smoother of degree 1 or more does, and so does every smooth
+    after the first."""
+    return smoother.effective_order >= 1 or f_smooths > 1
+
+
 def row_lengths(M):
     return np.diff(M.row_offsets)
 
 
-def f_key(recorded, k):
+def f_key(recorded, k, f_smooths=1):
     """The documented sort key of level ``k``'s F points, most significant
-    first: nnz of the ``A_ff`` row, of the row in the ``Z`` above, of the
-    ``A_fc`` row."""
-    split, _, A_ff, A_fc = recorded[k]
-    z_lengths = (row_lengths(recorded[k - 1][1])[split.f_set] if k
-                 else np.zeros(split.n_f, dtype=np.intp))
-    return np.stack([row_lengths(A_ff), z_lengths, row_lengths(A_fc)])
+    first: nnz of the ``A_ff`` row (zero where the level keeps no
+    ``A_ff``), of the row in the ``Z`` above, of the ``A_fc`` row."""
+    split, _, A_ff, A_fc, smoother = recorded[k]
+    zeros = np.zeros(split.n_f, dtype=np.intp)
+    ff_lengths = (row_lengths(A_ff) if keeps_A_ff(smoother, f_smooths)
+                  else zeros)
+    z_lengths = row_lengths(recorded[k - 1][1])[split.f_set] if k else zeros
+    return np.stack([ff_lengths, z_lengths, row_lengths(A_fc)])
 
 
-def cycle_orders(recorded):
+def cycle_orders(recorded, f_smooths=1):
     """``(pi, sigma)``: per level, the F order and the cycle order
     ``sigma_l = [f_set[pi_l], c_set[sigma_{l+1}]]``; ``sigma`` has one more
-    entry, the coarsest level's identity."""
-    pi = [np.lexsort(f_key(recorded, k)[::-1]) for k in range(len(recorded))]
+    entry, the coarsest level's identity.  ``f_smooths`` is the number of
+    smooths per cycle, ``len(smooth_type)``."""
+    pi = [np.lexsort(f_key(recorded, k, f_smooths)[::-1])
+          for k in range(len(recorded))]
     sigma = [np.arange(recorded[-1][0].n_c)] if recorded else []
     for k in reversed(range(len(recorded))):
         split = recorded[k][0]

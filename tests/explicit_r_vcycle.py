@@ -7,11 +7,16 @@ scattering through the split's index sets; the rest of the cycle is the
 same, and level 0 goes through ``H.order`` as ``vcycle`` does.  Levels are
 stored in cycle order, where ``R``'s unit C columns come after its ``Z``
 columns, so the two cycles agree bit for bit on any input ordering.
+
+On a level that keeps no ``A_ff`` the smoother has degree 0 and reads only
+the size of the matrix it is applied with, so this cycle applies it through
+``apply_matrix_free`` on the identity, where ``vcycle`` scales without a
+matrix.
 """
 
 import numpy as np
 
-from airmg import apply_matrix_free, restriction, spmv
+from airmg import SparseMatrix, apply_matrix_free, restriction, spmv
 
 
 def explicit_r_vcycle(H, level, r):
@@ -30,10 +35,12 @@ def _cycle(H, r, level=0):
     e_c = explicit_r_vcycle(H, level + 1, spmv(restriction(L.Z, L.split), r))
     r_f = r[L.split.f_set]
     t = spmv(L.A_fc, e_c)
-    e_f = apply_matrix_free(L.f_smoother, L.A_ff, r_f - t)
+    A_ff = (SparseMatrix.identity(L.split.n_f) if L.A_ff is None
+            else L.A_ff)
+    e_f = apply_matrix_free(L.f_smoother, A_ff, r_f - t)
     for _ in range(H.f_smooths - 1):
-        e_f = e_f + apply_matrix_free(L.f_smoother, L.A_ff,
-                                      r_f - t - spmv(L.A_ff, e_f))
+        e_f = e_f + apply_matrix_free(L.f_smoother, A_ff,
+                                      r_f - t - spmv(A_ff, e_f))
     e = np.zeros(L.n)
     e[L.split.f_set] = e_f
     e[L.split.c_set] = e_c

@@ -55,6 +55,8 @@ CASES = {
 
 
 def _matrix_arrays(M):
+    if M is None:  # a block that a level does not keep
+        return [np.array([-1, -1], dtype=np.int64)]
     return [np.array([M.nrows, M.ncols], dtype=np.int64), M.row_offsets,
             M.col_indices, M.values]
 
@@ -81,8 +83,9 @@ def hierarchy_digest(A, b):
     """Setup of ``A`` and two solves, as one sha256 per part and plain
     numbers.
 
-    The parts (``PARTS``) are every level's ``Z``/``A_ff``/``A_fc``; the
-    split labels with the top level's cycle order; the smoother coefficients; the coarsest matrix and the
+    The parts (``PARTS``) are every level's ``Z``/``A_ff``/``A_fc`` (an
+    absent ``A_ff`` as a marker); the split labels with the top level's
+    cycle order; the smoother coefficients; the coarsest matrix and the
     coarse solver; the truncation record; the three complexities with
     ``flops_per_cycle``; and the residual history and the solution of two
     solves: ``b`` from ``x0 = 1`` ("gen") and a standard-normal rhs from

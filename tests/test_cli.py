@@ -46,7 +46,7 @@ def test_2d_defaults_schema(tmp_path):
     assert 'cycle_complexity' in res['summary']
     assert 'storage_complexity' in res['summary']
     assert res['problem']['n'] == 24 * 24
-    assert res['schema_version'] == 12
+    assert res['schema_version'] == 13
     assert not any('nnz_smoother_assembled' in level
                    for level in res['summary']['levels'])
     assert res['solve']['residual_history'][0] > 0
@@ -438,7 +438,7 @@ def test_dumped_prolongators_are_the_ones_setup_used(tmp_path, monkeypatch):
 
     def recording_restriction(*args, **kwargs):
         out = restrict(*args, **kwargs)
-        recorded.append((args[1],) + tuple(out[:3]))
+        recorded.append((args[1],) + tuple(out))
         return out
 
     monkeypatch.setattr(hierarchy, 'build_prolongation', recording)
@@ -450,7 +450,7 @@ def test_dumped_prolongators_are_the_ones_setup_used(tmp_path, monkeypatch):
     assert not (ops / f'level{len(used)}_P.mtx').exists()
     _, sigma = cycle_orders(recorded)
     ties = 0
-    for k, (P, (_, _, _, A_fc)) in enumerate(zip(used, recorded)):
+    for k, (P, (_, _, _, A_fc, _)) in enumerate(zip(used, recorded)):
         assert_same_bits(read_matrix_market(ops / f'level{k}_P.mtx'),
                          reindexed(P, sigma[k], sigma[k + 1]))
         absv = np.abs(A_fc.to_dense())
@@ -461,30 +461,71 @@ def test_dumped_prolongators_are_the_ones_setup_used(tmp_path, monkeypatch):
 
 
 def test_dumped_order_maps_the_problem_onto_level_0(tmp_path):
-    # ``top_A`` in the dumped level-0 order leads with the stored A_ff, and
-    # the CF labels give level 0 in the problem's numbering: its F nodes are
-    # the first n_f entries of the order.
+    # ``top_A`` in the dumped level-0 order leads with level 0's A_ff block,
+    # then the stored A_fc, and the CF labels give level 0 in the problem's
+    # numbering: its F nodes are the first n_f entries of the order.  The
+    # Arnoldi smoother has degree 0 there, so the block (diagonal) is not
+    # stored; the Neumann smoother has degree 6 and keeps it.
+    for inverse_type in ('arnoldi', 'neumann'):
+        ops, diag = tmp_path / inverse_type, tmp_path / f'{inverse_type}_cf'
+        code, res = run_cli(tmp_path, '--n', '24', '--dump-operators',
+                            str(ops), '--cf-diagnostics', str(diag),
+                            '--inverse-type', inverse_type)
+        assert code == 0
+        order = np.loadtxt(ops / 'level0_order.txt', dtype=np.intp)
+        top = read_matrix_market(ops / 'top_A.mtx')
+        assert np.array_equal(np.sort(order), np.arange(top.nrows))
+        n_f = res['summary']['levels'][0]['n_f']
+        lead = top.to_dense()[np.ix_(order, order)][:n_f]
+        A_fc = read_matrix_market(ops / 'level0_A_fc.mtx')
+        assert np.array_equal(lead[:, n_f:], A_fc.to_dense())
+        if inverse_type == 'arnoldi':
+            assert res['summary']['levels'][0]['nnz_A_ff'] is None
+            assert not (ops / 'level0_A_ff.mtx').exists()
+            assert np.array_equal(lead[:, :n_f], np.diag(np.diag(lead)))
+        else:
+            A_ff = read_matrix_market(ops / 'level0_A_ff.mtx')
+            assert A_ff.nrows == n_f
+            assert np.array_equal(lead[:, :n_f], A_ff.to_dense())
+        rows = list(csv.reader((diag / 'cf_labels.csv').open()))[1:]
+        level0 = [(int(node), label) for level, node, label in rows
+                  if level == '0']
+        assert [node for node, _ in level0] == list(range(top.nrows))
+        f_nodes = [node for node, label in level0 if label == 'F']
+        assert f_nodes == sorted(order[:n_f])
+        level1 = [label for level, _, label in rows if level == '1']
+        n_f1 = res['summary']['levels'][1]['n_f']
+        assert level1 == ['F'] * n_f1 + ['C'] * (len(level1) - n_f1)
+        hist = list(csv.reader((diag / 'ddc_ratio_histograms.csv').open()))
+        kept = {str(k) for k, level in enumerate(res['summary']['levels'])
+                if level['nnz_A_ff'] is not None}
+        assert {row[0] for row in hist[1:]} == kept
+        assert ('0' in kept) == (inverse_type == 'neumann')
+
+
+def test_chain_levels_with_no_fine_block_dump_and_diagnose(tmp_path):
+    # Every level of the 1-D chain smooths with a degree-0 polynomial and
+    # keeps no A_ff: the record says null, the dump writes no A_ff file and
+    # the diagnostics no histogram rows, while each level's R, P and A_fc
+    # and its CF labels are still written.
     ops, diag = tmp_path / 'ops', tmp_path / 'diag'
-    code, res = run_cli(tmp_path, '--n', '24', '--dump-operators', str(ops),
+    code, res = run_cli(tmp_path, '--dim', '1', '--n', '256', '--vx', '1',
+                        '--dump-operators', str(ops),
                         '--cf-diagnostics', str(diag))
     assert code == 0
-    order = np.loadtxt(ops / 'level0_order.txt', dtype=np.intp)
-    top = read_matrix_market(ops / 'top_A.mtx')
-    assert np.array_equal(np.sort(order), np.arange(top.nrows))
-    A_ff = read_matrix_market(ops / 'level0_A_ff.mtx')
-    n_f = res['summary']['levels'][0]['n_f']
-    assert A_ff.nrows == n_f
-    lead = top.to_dense()[np.ix_(order, order)][:n_f, :n_f]
-    assert np.array_equal(lead, A_ff.to_dense())
-    rows = list(csv.reader((diag / 'cf_labels.csv').open()))[1:]
-    level0 = [(int(node), label) for level, node, label in rows
-              if level == '0']
-    assert [node for node, _ in level0] == list(range(top.nrows))
-    f_nodes = [node for node, label in level0 if label == 'F']
-    assert f_nodes == sorted(order[:n_f])
-    level1 = [label for level, _, label in rows if level == '1']
-    n_f1 = res['summary']['levels'][1]['n_f']
-    assert level1 == ['F'] * n_f1 + ['C'] * (len(level1) - n_f1)
+    levels = res['summary']['levels']
+    assert len(levels) > 1
+    for k, level in enumerate(levels):
+        assert level['nnz_A_ff'] is None
+        assert level['smoother_effective_order'] == 0
+        assert level['ddc_passes'][-1]['ratio_max'] == 0
+        assert not (ops / f'level{k}_A_ff.mtx').exists()
+        for name in ('R', 'P', 'A_fc'):
+            assert (ops / f'level{k}_{name}.mtx').exists()
+    hist = list(csv.reader((diag / 'ddc_ratio_histograms.csv').open()))
+    assert hist == [['level', 'bin_lo', 'bin_hi', 'count']]
+    labels = list(csv.reader((diag / 'cf_labels.csv').open()))[1:]
+    assert {row[0] for row in labels} == {str(k) for k in range(len(levels))}
 
 
 def test_repeats_and_second_solve_controls(tmp_path):

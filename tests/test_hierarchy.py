@@ -9,18 +9,18 @@ import pytest
 from airmg import (AdvectionProblem, CFSplit, F_POINT, C_POINT, SetupConfig,
                    SparseMatrix, apply_matrix_free, assemble_fixed_sparsity,
                    build_advection_1d, build_advection_2d, build_prolongation,
-                   build_restriction, cf_split, coarse_matrix, drop_and_lump,
-                   extract, hierarchy_summary, read_matrix_market,
-                   restriction, richardson_solve, setup, spgemm, spmv,
-                   try_truncate, vcycle, SolveConfig)
+                   build_restriction, cf_split, coarse_matrix, diagonal,
+                   drop_and_lump, extract, hierarchy_summary,
+                   read_matrix_market, restriction, richardson_solve, setup,
+                   spgemm, spmv, try_truncate, vcycle, SolveConfig)
 from airmg import hierarchy, sparse, splitting
 from airmg.cli import _dump_operators
 from airmg.hierarchy import (_SEED_COARSE_POLY, _SEED_TRUNC_RHS, _derive_seed,
                              _level_cycle_flops, _resolve_truncate_start)
 from airmg.polynomial import _random_unit_vector, gmres_poly_newton
 from airmg.splitting import _level_view, _repair_split
-from cycle_orders import (cycle_orders, f_key, record_setup, reindexed,
-                          row_lengths)
+from cycle_orders import (cycle_orders, f_key, keeps_A_ff, record_setup,
+                          reindexed, row_lengths)
 from golden import CASES, permuted
 from structural_spgemm import assert_same_without_zeros, structural_spgemm
 
@@ -360,7 +360,12 @@ def test_setup_cyclic_reduction_limit_single_cycle():
     H = setup(A, SetupConfig(strong_threshold=0.5, poly_order=1,
                              auto_truncate_tol=None))
     for L in H.levels:
-        assert L.A_ff.nnz == L.A_ff.nrows  # diagonal every level
+        # Diagonal every level: no F point couples to another, the smoother
+        # inverts the scaled identity with degree 0 and the level keeps no
+        # A_ff, which the cycle never multiplies by.
+        assert L.ddc_stats[-1].ratio_max == 0
+        assert L.f_smoother.effective_order == 0
+        assert L.A_ff is None
     rng = np.random.default_rng(42)
     b = rng.uniform(-1, 1, 1024)
     e = vcycle(H, 0, b)
@@ -398,8 +403,10 @@ def test_default_drops_leave_the_1d_chain_alone():
     assert len(H_def.levels) == len(H_off.levels)
     for got, want in zip(H_def.levels, H_off.levels):
         assert np.array_equal(got.split.labels, want.split.labels)
-        for name in ('Z', 'A_ff', 'A_fc'):
+        assert got.A_ff is want.A_ff is None  # degree-0 smoothers
+        for name in ('Z', 'A_fc'):
             _assert_same_bits(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.f_smoother.coeffs, want.f_smoother.coeffs)
     _assert_same_bits(H_def.coarsest_A, H_off.coarsest_A)
 
 
@@ -437,7 +444,9 @@ def test_setup_keeps_one_index_width():
     assert H.levels
     mats = [H.top_A, H.coarsest_A]
     mats += [M for L in H.levels
-             for M in (L.Z, restriction(L.Z, L.split), L.A_ff, L.A_fc)]
+             for M in (L.Z, restriction(L.Z, L.split), L.A_ff, L.A_fc)
+             if M is not None]
+    assert len(mats) == 2 + 4 * H.num_levels - 1  # level 0 keeps no A_ff
     for M in mats:
         assert M.row_offsets.dtype == np.int32
         assert M.col_indices.dtype == np.int32
@@ -447,15 +456,22 @@ def test_setup_keeps_one_index_width():
 
 
 def test_setup_storage_complexity_recomputable_from_summary():
-    A, _ = build_advection_2d(AdvectionProblem(nx=24, ny=24, vx=0.9, vy=0.3))
-    H = setup(A, SetupConfig())
-    s = hierarchy_summary(H)
-    retained = sum(l['nnz_A_ff'] + l['nnz_A_fc'] + l['nnz_Z']
-                   for l in s['levels'])
-    expected = (retained + s['nnz_top'] + s['coarsest']['nnz']) / s['nnz_top']
-    assert s['storage_complexity'] == expected
-    assert s['storage_complexity'] >= 1.0
-    assert s['cycle_complexity'] >= 1.0
+    # A level that keeps no A_ff (every level of the chain) records it as
+    # null and stores nothing for it.
+    A_2d, _ = build_advection_2d(AdvectionProblem(nx=24, ny=24, vx=0.9,
+                                                  vy=0.3))
+    for A in (A_2d, build_advection_1d(4096, 1.0)):
+        H = setup(A, SetupConfig())
+        s = hierarchy_summary(H)
+        for l, L in zip(s['levels'], H.levels):
+            assert l['nnz_A_ff'] == (None if L.A_ff is None else L.A_ff.nnz)
+        retained = sum((l['nnz_A_ff'] or 0) + l['nnz_A_fc'] + l['nnz_Z']
+                       for l in s['levels'])
+        expected = ((retained + s['nnz_top'] + s['coarsest']['nnz'])
+                    / s['nnz_top'])
+        assert s['storage_complexity'] == expected
+        assert s['storage_complexity'] >= 1.0
+        assert s['cycle_complexity'] >= 1.0
 
 
 def test_setup_grid_complexity_ordering_with_threshold():
@@ -669,14 +685,37 @@ def test_stored_levels_are_the_setup_operators_renumbered(case, monkeypatch):
     # Each level holds the Z, A_ff and A_fc that setup built, permuted into
     # cycle order entry for entry with the bits of every value kept: F points
     # first, sorted stably by the documented key, then the level below.
-    H, recorded = record_setup(monkeypatch, CASES[case]()[0])
+    # A_ff is kept exactly when the cycle multiplies by it, and a Neumann
+    # smoother's diag_scale moves with the F points.
+    A = CASES[case]()[0]
+    for inverse_type in ('arnoldi', 'neumann'):
+        _check_stored_levels(case, inverse_type,
+                             *record_setup(monkeypatch, A, SetupConfig(
+                                 inverse_type=inverse_type)))
+
+
+def _check_stored_levels(case, inverse_type, H, recorded):
     pi, sigma = cycle_orders(recorded)
     assert len(recorded) == H.num_levels > 0
     assert np.array_equal(H.order, sigma[0])
     assert H.order.dtype == np.intp
     moved = 0
-    for k, (L, (split, Z, A_ff, A_fc)) in enumerate(zip(H.levels, recorded)):
-        _assert_same_bits(L.A_ff, reindexed(A_ff, pi[k], pi[k]))
+    for k, (L, (split, Z, A_ff, A_fc, smoother)) in enumerate(
+            zip(H.levels, recorded)):
+        if keeps_A_ff(smoother):
+            _assert_same_bits(L.A_ff, reindexed(A_ff, pi[k], pi[k]))
+        else:
+            assert L.A_ff is None
+        assert (L.f_smoother.kind, L.f_smoother.effective_order) == (
+            smoother.kind, smoother.effective_order)
+        assert np.array_equal(L.f_smoother.coeffs.view(np.uint64),
+                              smoother.coeffs.view(np.uint64))
+        if inverse_type == 'neumann':
+            assert np.array_equal(
+                L.f_smoother.diag_scale.view(np.uint64),
+                smoother.diag_scale[pi[k]].view(np.uint64))
+        else:
+            assert L.f_smoother.diag_scale is None
         _assert_same_bits(L.Z, reindexed(Z, sigma[k + 1], pi[k]))
         _assert_same_bits(L.A_fc, reindexed(A_fc, pi[k], sigma[k + 1]))
         assert np.array_equal(L.split.f_set, np.arange(split.n_f))
@@ -685,16 +724,34 @@ def test_stored_levels_are_the_setup_operators_renumbered(case, monkeypatch):
         assert np.all(L.split.labels[split.n_f:] == C_POINT)
         # The stored F block is non-decreasing in the key, read from the
         # stored operators themselves.
-        z_above = (row_lengths(H.levels[k - 1].Z)[:split.n_f] if k
-                   else np.zeros(split.n_f, dtype=np.intp))
-        stored = np.stack([row_lengths(L.A_ff), z_above,
-                           row_lengths(L.A_fc)])
+        zeros = np.zeros(split.n_f, dtype=np.intp)
+        z_above = row_lengths(H.levels[k - 1].Z)[:split.n_f] if k else zeros
+        stored = np.stack([zeros if L.A_ff is None else row_lengths(L.A_ff),
+                           z_above, row_lengths(L.A_fc)])
         assert np.array_equal(stored, f_key(recorded, k)[:, pi[k]])
         steps = np.diff(stored, axis=1)
         first = np.argmax(steps != 0, axis=0)
         assert np.all(steps[first, np.arange(steps.shape[1])] >= 0)
         moved += not np.array_equal(pi[k], np.arange(split.n_f))
     assert moved > 0
+    dropped = [L.A_ff is None for L in H.levels]
+    if inverse_type == 'neumann':  # degree 6 on every level
+        assert not any(dropped)
+    elif case == 'chain_16384':
+        assert all(dropped)
+    else:
+        assert dropped[0] and not any(dropped[1:])
+
+
+@pytest.mark.parametrize('case', ['pi4_64', 'pi4_perm_48', 'chain_16384'])
+def test_neumann_scales_are_the_stored_fine_diagonals(case):
+    # A Neumann smoother scales by the inverse of its A_ff's diagonal; both
+    # are stored in cycle order, so they agree entry for entry.
+    H = setup(CASES[case]()[0], SetupConfig(inverse_type='neumann'))
+    assert H.num_levels > 0
+    for L in H.levels:
+        assert np.array_equal(L.f_smoother.diag_scale.view(np.uint64),
+                              (1.0 / diagonal(L.A_ff)).view(np.uint64))
 
 
 def test_setup_extracts_three_blocks_per_level(monkeypatch):

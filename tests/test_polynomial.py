@@ -20,7 +20,8 @@ from airmg import (PolySolver, SparseMatrix, apply_matrix_free,
                    gmres_poly_arnoldi, gmres_poly_newton, neumann_poly,
                    spgemm_fixed_sparsity, spmv)
 from airmg.sparse import _row_index
-from airmg.polynomial import (_SCALE_LIMIT, _arnoldi, _givens_step,
+from airmg.polynomial import (_SCALE_LIMIT, _apply_degree_zero, _arnoldi,
+                              _givens_step,
                               _group_conjugate_units, _harmonic_ritz,
                               _leja_order, _log_distances, _poly_apply_flops,
                               _random_unit_vector, _with_added_roots)
@@ -328,6 +329,24 @@ def test_apply_degree_zero_scales():
                    coeffs=np.array([2.5]))
     A = SparseMatrix.identity(3)
     assert np.array_equal(apply_matrix_free(p, A, np.ones(3)), 2.5 * np.ones(3))
+
+
+def test_degree_zero_application_reads_no_matrix_and_keeps_the_bits():
+    # The cycle scales by a degree-0 smoother without its matrix; the
+    # result is what the matrix-free application gives, bit for bit.
+    rng = np.random.default_rng(41)
+    A = random_dd_matrix(rng, 20)
+    b = rng.standard_normal(20)
+    for p in (gmres_poly_arnoldi(SparseMatrix.from_dense(3.0 * np.eye(20)),
+                                 order=6, seed=2),
+              neumann_poly(A, order=0)):
+        assert p.effective_order == 0
+        assert np.array_equal(_apply_degree_zero(p, b).view(np.uint64),
+                              apply_matrix_free(p, A, b).view(np.uint64))
+    for p in (neumann_poly(A, order=1),
+              gmres_poly_newton(A, order=2, seed=2)):
+        with pytest.raises(ValueError, match='degree 0'):
+            _apply_degree_zero(p, b)
 
 
 def test_assemble_diagonal_is_exact_inverse():

@@ -6,13 +6,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from airmg import (AdvectionProblem, DivergenceError, SetupConfig,
-                   SolveConfig, SparseMatrix, build_advection_1d,
-                   build_advection_2d, build_prolongation, build_restriction,
-                   cf_split, coarse_matrix, count_cycle_flops, extract,
-                   restriction, richardson_solve, setup, spmv, vcycle)
-from airmg import solve
-from airmg.polynomial import _poly_apply_flops
+from airmg import (AdvectionProblem, DivergenceError, PolySolver,
+                   SetupConfig, SolveConfig, SparseMatrix, apply_matrix_free,
+                   build_advection_1d, build_advection_2d, build_prolongation,
+                   build_restriction, cf_split, coarse_matrix,
+                   count_cycle_flops, extract, restriction, richardson_solve,
+                   setup, spmv, vcycle)
+from airmg import polynomial, solve
+from airmg.polynomial import _apply_degree_zero, _poly_apply_flops
 from airmg.sparse import _norm
 from explicit_r_vcycle import explicit_r_vcycle
 from golden import CASES
@@ -221,15 +222,22 @@ def test_neumann_coarse_solver_variant():
 def test_multilevel_flop_count_by_hand(smooth_type):
     # Every per-level term of the cost model, summed by hand over a
     # multi-level hierarchy; 'ff' adds the second smooth's residual product,
-    # combine, smoother application and error update.
+    # combine, smoother application and error update.  A level that keeps
+    # no A_ff has one smooth of degree 0, a scaling of its n_f entries.
     vx, vy = np.cos(np.pi / 4), np.sin(np.pi / 4)
     A, _ = build_advection_2d(AdvectionProblem(nx=16, ny=16, vx=vx, vy=vy))
     H = setup(A, SetupConfig(auto_truncate_tol=None, smooth_type=smooth_type))
     assert len(H.levels) >= 2
+    assert (H.levels[0].A_ff is None) == (smooth_type == 'f')
     total = 0
     for L in H.levels:
         n_f = len(L.split.f_set)
-        smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
+        if L.A_ff is None:
+            assert smooth_type == 'f'
+            assert L.f_smoother.effective_order == 0
+            smooth = 2 * n_f
+        else:
+            smooth = _poly_apply_flops(L.f_smoother, L.A_ff.nnz, n_f)
         total += 2 * L.Z.nnz + L.split.n_c + 2 * L.A_fc.nnz + 2 * n_f + smooth
         if smooth_type == 'ff':
             total += 2 * L.A_ff.nnz + 4 * n_f + smooth + 2 * n_f
@@ -307,6 +315,53 @@ def test_vcycle_matches_the_explicit_restriction_cycle(case, monkeypatch):
         assert stats.converged
         assert stats.residual_history == want.residual_history
         assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
+
+
+@pytest.mark.parametrize('case, smooth_type', [
+    ('pi4_64', 'f'), ('pi4_perm_48', 'f'), ('chain_16384', 'f'),
+    ('chain_16384', 'ff')])
+def test_every_operator_a_level_keeps_is_read_by_one_vcycle(
+        case, smooth_type, monkeypatch):
+    # One V-cycle multiplies by every matrix a level holds and applies its
+    # smoother.  A degree-0 smoother scales the residual without a matrix,
+    # so with one smooth per cycle its level keeps no A_ff: level 0 of the
+    # 2-D cases and every level of the chain.  With 'ff' the second smooth
+    # forms r_f - A_ff e_f, so every level keeps its A_ff.
+    A, _ = CASES[case]()
+    H = setup(A, SetupConfig(smooth_type=smooth_type))
+    multiplied, applied = set(), set()
+
+    def spy_spmv(M, x):
+        multiplied.add(id(M))
+        return spmv(M, x)
+
+    def spy_apply(p, M, b):
+        applied.add(id(p))
+        return apply_matrix_free(p, M, b)
+
+    def spy_degree_zero(p, b):
+        applied.add(id(p))
+        return _apply_degree_zero(p, b)
+
+    for module in (solve, polynomial):
+        monkeypatch.setattr(module, 'spmv', spy_spmv)
+    monkeypatch.setattr(solve, 'apply_matrix_free', spy_apply)
+    monkeypatch.setattr(solve, '_apply_degree_zero', spy_degree_zero)
+    vcycle(H, 0, np.random.default_rng(2).standard_normal(A.nrows))
+    for L in H.levels:
+        held = [getattr(L, f.name) for f in dataclasses.fields(L)]
+        matrices = [v for v in held if isinstance(v, SparseMatrix)]
+        smoothers = [v for v in held if isinstance(v, PolySolver)]
+        assert len(matrices) == 2 + (L.A_ff is not None)
+        assert all(id(M) in multiplied for M in matrices)
+        assert smoothers and all(id(p) in applied for p in smoothers)
+    kept = [L.A_ff is not None for L in H.levels]
+    if smooth_type == 'ff':
+        assert all(kept)
+    elif case == 'chain_16384':
+        assert not any(kept)
+    else:
+        assert not kept[0] and all(kept[1:])
 
 
 def _held_arrays(obj, seen=None):
